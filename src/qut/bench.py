@@ -22,22 +22,19 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .circuit import Circuit, build_swap_harness, invert_circuit, compose
+from .circuit import Circuit
 from .qasm import parse_qasm
 from .jsonio import parse_json
 from .shots import EquivalentStatesError, estimate_shots_for_pair
-from .simulator import (
-    marginal_probability_one,
-    run_statevector,
-    sample_from_probs,
-)
+from .simulator import run_statevector, sample_from_probs
 from .testing import (
     MC_KINDS,
     STAT_KINDS,
     MultinomialIntractableError,
+    first_failure_under_law,
+    mc_p_value,
     statevector_test,
     statistical_p_value,
-    _discrepancy_scores,
     _support,
 )
 
@@ -65,11 +62,6 @@ def dense_rank(values: Sequence[int | None]) -> list[int]:
     return [rank_of[v] if v is not None else last for v in values]
 
 
-def first_failure_shot(stream) -> int | None:
-    """1-based index of the first nonzero outcome in a shot stream, or None."""
-    return stream.first_nonzero()
-
-
 def _p_value_at(
     prefix_counts: np.ndarray,
     probs: np.ndarray,
@@ -81,19 +73,8 @@ def _p_value_at(
     if kind in STAT_KINDS:
         return statistical_p_value(prefix_counts, probs, kind)
     # Monte Carlo kinds: empirical p-value with a seed derived per shot count
-    support = _support(probs)
-    if prefix_counts[~support].sum() > 0:
-        return 0.0
-    obs = prefix_counts[support].astype(float)
-    p_sup = probs[support] / probs[support].sum()
-    if len(obs) == 1:
-        return 1.0
-    expected_counts = shots * p_sup
-    observed = _discrepancy_scores(obs[None, :], expected_counts, p_sup, kind)[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, shots, 0x4D43]))
-    synthetic = rng.multinomial(shots, p_sup, size=mc_reps).astype(float)
-    scores = _discrepancy_scores(synthetic, expected_counts, p_sup, kind)
-    return float((scores <= observed + 1e-12).sum() / mc_reps)
+    return mc_p_value(prefix_counts, probs, kind, mc_reps, rng)
 
 
 def _first_crossing_asymptotic(
@@ -149,55 +130,25 @@ def min_shots_statistical(
     seed: int = 0,
     mc_reps: int = 1000,
 ) -> int | None:
-    """Minimal prefix length S of the realized stream with p-value < p_t.
+    """Minimal prefix length S <= cap of the realized stream with p-value < p_t.
 
-    Two-pass search over one fixed stream: a coarse scan over powers of two
-    finds a bracketing interval, then binary search pins a crossing.  Because
-    the p-value is not monotone in S, the crossing is then verified as the
-    true minimum by checking every smaller prefix (vectorized for the
-    asymptotic kinds).  Returns None (NotDetected) if no S <= cap works.
+    The p-value is not monotone in S, so the answer is decided by scanning
+    every prefix in order: in one vectorized pass for the asymptotic kinds,
+    and one p-value per prefix up to the first crossing for the others.
+    Returns None (NotDetected) if no S <= cap works.
     """
     cap = min(cap, len(stream_values))
-    dim = len(expected_probs)
-
-    def p_at(s: int) -> float:
-        counts = np.bincount(stream_values[:s], minlength=dim)
-        return _p_value_at(counts, expected_probs, kind, mc_reps, seed, s)
-
-    # coarse scan: powers of two, then the cap itself
-    grid = []
-    s = 1
-    while s < cap:
-        grid.append(s)
-        s *= 2
-    grid.append(cap)
-    below_at = None
-    for s in grid:
-        if p_at(s) < p_threshold:
-            below_at = s
-            break
-    hi = None
-    if below_at is not None:
-        lo, hi = below_at // 2, below_at  # p(hi) < p_t
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if p_at(mid) < p_threshold:
-                hi = mid
-            else:
-                lo = mid
-    # The p-value is not monotone in S: a dip below p_t can sit strictly
-    # between grid points or before the binary-search crossing, so the
-    # remaining prefixes are checked exhaustively.
-    bound = cap if hi is None else hi - 1
     if kind in ("chi2", "g_test"):
-        earlier = _first_crossing_asymptotic(
-            stream_values, expected_probs, kind, p_threshold, bound
+        return _first_crossing_asymptotic(
+            stream_values, expected_probs, kind, p_threshold, cap
         )
-    else:
-        earlier = next(
-            (s for s in range(1, bound + 1) if p_at(s) < p_threshold), None
-        )
-    return earlier if earlier is not None else hi
+    dim = len(expected_probs)
+    return next(
+        (s for s in range(1, cap + 1)
+         if _p_value_at(np.bincount(stream_values[:s], minlength=dim),
+                        expected_probs, kind, mc_reps, seed, s) < p_threshold),
+        None,
+    )
 
 
 @dataclass(frozen=True)
@@ -297,18 +248,7 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
 
     original_state = run_statevector(pair.original)
     expected_probs = original_state.probabilities()
-
-    # shared per-pair precomputation for the sampled tests
     mutant_probs = run_statevector(pair.mutant).probabilities()
-    inverse_probs = None
-    swap_p1 = None
-    if "inverse" in config.tests:
-        inverse_probs = run_statevector(
-            compose(pair.mutant, invert_circuit(pair.original))
-        ).probabilities()
-    if "swap" in config.tests:
-        harness = build_swap_harness(pair.mutant, pair.original)
-        swap_p1 = marginal_probability_one(run_statevector(harness), 0)
 
     for test in config.tests:
         if test == "statevector":
@@ -326,15 +266,8 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
         for rep in range(config.repetitions):
             seed = mix_seed(config.base_seed, pair.pair_id, test, rep)
             start = time.perf_counter()
-            if test == "swap":
-                rng = np.random.default_rng(seed)
-                bits = rng.random(cap) < swap_p1
-                nz = np.flatnonzero(bits)
-                found = int(nz[0]) + 1 if nz.size else None
-            elif test == "inverse":
-                values = sample_from_probs(inverse_probs, cap, seed)
-                nz = np.flatnonzero(values)
-                found = int(nz[0]) + 1 if nz.size else None
+            if test in ("swap", "inverse"):
+                found = first_failure_under_law(test, estimate.sigma11, cap, seed)
             else:
                 values = sample_from_probs(mutant_probs, cap, seed)
                 try:
@@ -403,16 +336,19 @@ def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
     return buf.getvalue()
 
 
-def compute_metrics(rows: Sequence[ExperimentRow]) -> dict[str, dict[str, float]]:
+def compute_metrics(
+    rows: Sequence[ExperimentRow],
+) -> dict[str, dict[str, float | None]]:
     """Per-test {tp, fn, recall}; every corpus pair is faulty by construction,
-    so a Fail verdict is a true positive and anything else a false negative."""
+    so a Fail verdict is a true positive and anything else a false negative.
+    Recall is None (undefined) for a test whose every row is an error."""
     if not rows:
         raise ValueError("no rows to summarize")
-    out: dict[str, dict[str, float]] = {}
+    out: dict[str, dict[str, float | None]] = {}
     for test in sorted({r.test for r in rows}):
         relevant = [r for r in rows if r.test == test and r.verdict != "error"]
         tp = sum(r.verdict == "fail" for r in relevant)
         fn = len(relevant) - tp
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        recall = tp / (tp + fn) if tp + fn else None
         out[test] = {"tp": tp, "fn": fn, "recall": recall}
     return out

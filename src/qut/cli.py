@@ -17,7 +17,7 @@ from . import bench, mutation
 from .circuit import Circuit
 from .core import StateVector
 from .jsonio import CircuitJsonError, emit_json, parse_json
-from .qasm import QasmError, emit_qasm, parse_qasm
+from .qasm import ParseDiagnostic, QasmError, emit_qasm, parse_qasm
 from .shots import EquivalentStatesError, estimate_shots_for_pair
 from .testing import (
     DEFAULT_TOLERANCE,
@@ -51,20 +51,27 @@ class CliIoError(Exception):
     pass
 
 
-def _load_circuit(path: str) -> Circuit:
+def _load_circuit(path: str, warnings: list[str] | None = None) -> Circuit:
+    """Parse a QASM or JSON circuit file; parser warnings such as stripped
+    measurements are appended to `warnings` as "path: line N: message"."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliIoError(f"cannot read {path}: {exc}")
+    diagnostics: list[ParseDiagnostic] = []
     try:
         if path.endswith(".json"):
-            return parse_json(text)
-        return parse_qasm(text)
+            circuit = parse_json(text)
+        else:
+            circuit = parse_qasm(text, diagnostics)
     except (QasmError, CircuitJsonError) as exc:
         raise CliIoError(f"{path}: {exc}")
+    if warnings is not None:
+        warnings += [f"{path}: line {d.line}: {d.message}" for d in diagnostics]
+    return circuit
 
 
-def _load_expected(path: str) -> ExpectedSpec:
+def _load_expected(path: str, warnings: list[str] | None = None) -> ExpectedSpec:
     """Expected spec file: a circuit (QASM or JSON), or a JSON statevector
     object {"amplitudes": [[re, im], ...]}."""
     if path.endswith(".json"):
@@ -78,13 +85,15 @@ def _load_expected(path: str) -> ExpectedSpec:
                 return StateVector.from_amplitudes(amps)
             except (TypeError, ValueError) as exc:
                 raise CliIoError(f"{path}: bad statevector: {exc}")
-    return _load_circuit(path)
+    return _load_circuit(path, warnings)
 
 
 def _cmd_run(args) -> int:
-    program = _load_circuit(args.program)
-    w = _load_circuit(args.input) if args.input else Circuit(program.num_qubits)
-    expected = _load_expected(args.expected)
+    warnings: list[str] = []
+    program = _load_circuit(args.program, warnings)
+    w = (_load_circuit(args.input, warnings) if args.input
+         else Circuit(program.num_qubits))
+    expected = _load_expected(args.expected, warnings)
     test = _TEST_NAMES[args.test]
     if test == "statevector":
         verdict = statevector_test(
@@ -109,7 +118,7 @@ def _cmd_run(args) -> int:
         "p_value": verdict.p_value,
         "first_failure_shot": verdict.first_failure_shot,
         "max_amplitude_deviation": verdict.max_amplitude_deviation,
-        "warnings": list(verdict.warnings),
+        "warnings": warnings + list(verdict.warnings),
     }
     print(json.dumps({k: v for k, v in detail.items() if v not in (None, [])}))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
@@ -256,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,13 +1,16 @@
 """Noise-free statevector evolution and seeded measurement sampling.
 
 Sampling draws from the exact output distribution by inverse-CDF over the
-cumulative probability array.  The generator is numpy's default PCG64 seeded
-explicitly, so a (circuit, shots, seed) triple fully determines the stream.
+cumulative probability array; two-outcome laws (a shot fails or not) are
+sampled as a stream of uniform draws.  The generator is numpy's default PCG64
+seeded explicitly, so a (circuit, shots, seed) triple fully determines the
+stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +18,8 @@ from .circuit import Circuit, apply_gate
 from .core import StateVector
 
 PROB_FLOOR = 1e-16
+# Uniform draws held at once by `first_failing_shot`: 512 KiB of doubles.
+_DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,34 +47,6 @@ class ShotStream:
         return int(nz[0]) + 1 if nz.size else None
 
 
-@dataclass(frozen=True)
-class CountsHistogram:
-    """Bitstring -> occurrence count over `shots` measurements."""
-
-    num_qubits: int
-    counts: dict[str, int]
-    shots: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to the shot total")
-        if any(len(k) != self.num_qubits or set(k) - {"0", "1"} for k in self.counts):
-            raise ValueError("keys must be n-bit strings")
-
-    @classmethod
-    def from_stream(cls, stream: ShotStream) -> "CountsHistogram":
-        idx, reps = np.unique(stream.values, return_counts=True)
-        n = stream.num_qubits
-        return cls(n, {format(int(i), f"0{n}b"): int(c) for i, c in zip(idx, reps)},
-                   len(stream))
-
-    def as_array(self) -> np.ndarray:
-        out = np.zeros(1 << self.num_qubits, dtype=np.int64)
-        for key, c in self.counts.items():
-            out[int(key, 2)] = c
-        return out
-
-
 def run_statevector(c: Circuit) -> StateVector:
     """Apply the circuit's gates to |0...0> in order."""
     state = StateVector.zero(c.num_qubits)
@@ -91,15 +68,21 @@ def sample_from_probs(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def sample_counts(
-    c: Circuit, shots: int, seed: int
-) -> tuple[ShotStream, CountsHistogram]:
-    """S seeded measurements of all qubits of the circuit's output state."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = run_statevector(c).probabilities()
-    stream = ShotStream(c.num_qubits, sample_from_probs(probs, shots, seed), seed)
-    return stream, CountsHistogram.from_stream(stream)
+def first_failing_shot(
+    fails: Callable[[np.ndarray], np.ndarray], shots: int, seed: int
+) -> int | None:
+    """1-based index of the first of `shots` seeded uniform draws in [0, 1)
+    for which `fails` holds, or None.
+
+    The draws are the stream of `rng.random(shots)`, taken in chunks, so
+    memory stays bounded by the chunk size whatever the shot count.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, shots, _DRAW_CHUNK):
+        hit = np.flatnonzero(fails(rng.random(min(_DRAW_CHUNK, shots - start))))
+        if hit.size:
+            return start + int(hit[0]) + 1
+    return None
 
 
 def marginal_probability_one(state: StateVector, qubit: int) -> float:

@@ -1,9 +1,13 @@
 """The four quantum unit-test families: Statistical (plus Monte Carlo
 variants), Swap, Statevector, and Inverse.
 
-Each test arranges a harness circuit from the input preparation W, the
-program under test U, and the expected state, runs it on the embedded
-simulator, and asserts on the outcome.
+Each test runs the input preparation W and the program under test U on the
+embedded simulator and asserts on the outcome against the expected state.
+The statistical tests sample the measured distribution of W.U.  The swap and
+inverse tests sample their per-shot outcome law, a function of the fidelity
+F = |<psi_E|psi_A>|^2 alone (`first_failure_under_law`); the harness circuits
+that realize those laws on hardware are built by `circuit.build_swap_harness`
+and `circuit.build_inverse_harness`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from math import comb
 import numpy as np
 from scipy import stats
 
-from .circuit import Circuit, build_inverse_harness, build_swap_harness, compose
-from .core import StateVector, global_phase_aligned
+from .circuit import Circuit, compose
+from .core import StateVector, fidelity, global_phase_aligned
 from .simulator import (
-    marginal_sample,
+    PROB_FLOOR,
+    first_failing_shot,
     run_statevector,
-    sample_counts,
     sample_from_probs,
 )
 from .synth import synthesize_state_prep
@@ -138,8 +142,20 @@ def statistical_p_value(
     raise ValueError(f"unknown statistical kind '{kind}'")
 
 
-def _counts_array(stream_values: np.ndarray, dim: int) -> np.ndarray:
-    return np.bincount(stream_values, minlength=dim)
+def _check_statistical_args(shots: int, p_threshold: float, kind: str,
+                            kinds: tuple[str, ...]) -> None:
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if not 0.0 < p_threshold < 1.0:
+        raise ValueError("p threshold must lie in (0, 1)")
+    if kind not in kinds:
+        raise ValueError(f"kind must be one of {kinds}")
+
+
+def _sampled_counts(w: Circuit, u: Circuit, shots: int, seed: int) -> np.ndarray:
+    """Histogram, indexed by basis state, of `shots` seeded measurements of W.U."""
+    probs = run_statevector(compose(w, u)).probabilities()
+    return np.bincount(sample_from_probs(probs, shots, seed), minlength=len(probs))
 
 
 def statistical_test(
@@ -152,15 +168,8 @@ def statistical_test(
     seed: int,
 ) -> TestVerdict:
     """Sample W.U and compare the histogram with |psi_E>'s distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if not 0.0 < p_threshold < 1.0:
-        raise ValueError("p threshold must lie in (0, 1)")
-    if kind not in STAT_KINDS:
-        raise ValueError(f"kind must be one of {STAT_KINDS}")
-    harness = compose(w, u)
-    stream, _ = sample_counts(harness, shots, seed)
-    counts = _counts_array(stream.values, 1 << harness.num_qubits)
+    _check_statistical_args(shots, p_threshold, kind, STAT_KINDS)
+    counts = _sampled_counts(w, u, shots, seed)
     probs = expected_state(expected).probabilities()
     p = statistical_p_value(counts, probs, kind)
     warns = ()
@@ -190,6 +199,34 @@ def _discrepancy_scores(
     raise ValueError(f"unknown Monte Carlo kind '{kind}'")
 
 
+def mc_p_value(
+    counts: np.ndarray,
+    probs: np.ndarray,
+    kind: str,
+    repetitions: int,
+    rng: np.random.Generator,
+) -> float:
+    """Empirical p-value of observed counts against expected probabilities.
+
+    p is (number of `repetitions` synthetic count vectors, drawn from `probs`
+    with `rng`, at least as extreme as observed) / repetitions, with no
+    continuity correction.  The support rules of `statistical_p_value` apply.
+    """
+    support = _support(probs)
+    if counts[~support].sum() > 0:
+        return 0.0
+    obs = counts[support].astype(float)
+    p_sup = probs[support] / probs[support].sum()
+    if len(obs) == 1:
+        return 1.0
+    shots = int(counts.sum())
+    expected_counts = shots * p_sup
+    observed = _discrepancy_scores(obs[None, :], expected_counts, p_sup, kind)[0]
+    synthetic = rng.multinomial(shots, p_sup, size=repetitions).astype(float)
+    scores = _discrepancy_scores(synthetic, expected_counts, p_sup, kind)
+    return float((scores <= observed + 1e-12).sum() / repetitions)
+
+
 def mc_statistical_test(
     w: Circuit,
     u: Circuit,
@@ -200,50 +237,65 @@ def mc_statistical_test(
     repetitions: int,
     seed: int,
 ) -> TestVerdict:
-    """Monte Carlo statistical test: empirical p-value against synthetic draws.
-
-    The empirical p is (number of synthetic count vectors at least as extreme
-    as observed) / repetitions, with no continuity correction.
-    """
+    """Monte Carlo statistical test: `mc_p_value` of W.U's sampled histogram."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if kind not in MC_KINDS:
-        raise ValueError(f"kind must be one of {MC_KINDS}")
-    harness = compose(w, u)
-    stream, _ = sample_counts(harness, shots, seed)
-    counts = _counts_array(stream.values, 1 << harness.num_qubits)
+    _check_statistical_args(shots, p_threshold, kind, MC_KINDS)
+    counts = _sampled_counts(w, u, shots, seed)
     probs = expected_state(expected).probabilities()
-
-    support = _support(probs)
-    if counts[~support].sum() > 0:
-        return TestVerdict("fail", p_value=0.0)
-    obs = counts[support].astype(float)
-    p_sup = probs[support] / probs[support].sum()
-    if len(obs) == 1:
-        return TestVerdict("pass", p_value=1.0)
-
-    expected_counts = shots * p_sup
-    observed_score = _discrepancy_scores(obs[None, :], expected_counts, p_sup, kind)[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4D43]))  # "MC"
-    synthetic = rng.multinomial(shots, p_sup, size=repetitions)
-    scores = _discrepancy_scores(synthetic.astype(float), expected_counts, p_sup, kind)
-    empirical_p = float((scores <= observed_score + 1e-12).sum() / repetitions)
-    return TestVerdict("pass" if empirical_p >= p_threshold else "fail",
-                       p_value=empirical_p)
+    p = mc_p_value(counts, probs, kind, repetitions, rng)
+    return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p)
+
+
+def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int | None:
+    """First failing shot of the swap or inverse test at fidelity F, or None.
+
+    Each shot is one seeded uniform draw u.  A swap shot fails (the ancilla
+    reads 1) when u < (1 - F)/2; an inverse shot fails (W.U.Z measures a
+    nonzero bitstring) when u >= F.
+    """
+    if test == "swap":
+        p_one = (1.0 - f) / 2.0
+        if p_one < PROB_FLOOR:
+            p_one = 0.0
+        return first_failing_shot(lambda draws: draws < p_one, shots, seed)
+    if test == "inverse":
+        return first_failing_shot(lambda draws: draws >= f, shots, seed)
+    raise ValueError(f"no per-shot law for test '{test}'")
+
+
+def _law_verdict(
+    test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
+) -> TestVerdict:
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    f = fidelity(run_statevector(compose(w, u)), expected_state(expected))
+    first = first_failure_under_law(test, f, shots, seed)
+    if first is None:
+        return TestVerdict("pass")
+    return TestVerdict("fail", first_failure_shot=first)
 
 
 def swap_test(
     w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
     """Pass iff the swap-harness ancilla reads 0 on every shot."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    harness = build_swap_harness(compose(w, u), expected_prep_circuit(expected))
-    stream = marginal_sample(harness, 0, shots, seed)
-    first = stream.first_nonzero()
-    if first is None:
-        return TestVerdict("pass")
-    return TestVerdict("fail", first_failure_shot=first)
+    return _law_verdict("swap", w, u, expected, shots, seed)
+
+
+def amplitude_deviation(
+    actual: StateVector, expected: StateVector, mode: str = "global_phase"
+) -> float:
+    """Largest element-wise |actual - expected|.
+
+    In global_phase mode the actual state is first rotated so its
+    largest-magnitude amplitude agrees in phase with the expected one.
+    """
+    amps = actual.amplitudes
+    if mode == "global_phase":
+        amps = global_phase_aligned(amps, expected.amplitudes)
+    return float(np.abs(amps - expected.amplitudes).max())
 
 
 def statevector_test(
@@ -254,21 +306,15 @@ def statevector_test(
     mode: str = "global_phase",
     max_qubits: int = 24,
 ) -> TestVerdict:
-    """Element-wise statevector comparison at `tolerance`.
-
-    In global_phase mode (default) the actual state is first rotated so its
-    largest-magnitude amplitude agrees in phase with the expected one.
-    """
+    """Element-wise statevector comparison at `tolerance`; see
+    `amplitude_deviation` for the two modes (global_phase by default)."""
     if mode not in ("strict", "global_phase"):
         raise ValueError("mode must be 'strict' or 'global_phase'")
     if u.num_qubits > max_qubits:
         raise ValueError(f"register of {u.num_qubits} qubits exceeds the "
                          f"{max_qubits}-qubit simulation guard")
-    actual = run_statevector(compose(w, u)).amplitudes
-    exp = expected_state(expected).amplitudes
-    if mode == "global_phase":
-        actual = global_phase_aligned(actual, exp)
-    deviation = float(np.abs(actual - exp).max())
+    deviation = amplitude_deviation(
+        run_statevector(compose(w, u)), expected_state(expected), mode)
     return TestVerdict("pass" if deviation <= tolerance else "fail",
                        max_amplitude_deviation=deviation)
 
@@ -277,12 +323,4 @@ def inverse_test(
     w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
     """Pass iff every measured bitstring of W.U.Z is all-zeros."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    harness = build_inverse_harness(w, u, expected)
-    probs = run_statevector(harness).probabilities()
-    values = sample_from_probs(probs, shots, seed)
-    nz = np.flatnonzero(values)
-    if nz.size == 0:
-        return TestVerdict("pass")
-    return TestVerdict("fail", first_failure_shot=int(nz[0]) + 1)
+    return _law_verdict("inverse", w, u, expected, shots, seed)

@@ -1,14 +1,15 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qut import bench
+from qut import bench, mutation
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import emit_qasm
-from qut.simulator import ShotStream, sample_from_probs
-from qut.testing import statistical_p_value
+from qut.simulator import sample_from_probs
+from qut.testing import first_failure_under_law, statistical_p_value
 
 
 class TestSeedMixing:
@@ -42,13 +43,19 @@ class TestDenseRank:
 
 
 class TestFirstFailureShot:
+    """Bench swap and inverse rows take their first failing shot from the
+    per-shot law at sigma_11."""
+
     def test_basic(self):
-        s = ShotStream(1, np.array([0, 0, 1, 0]), seed=0)
-        assert bench.first_failure_shot(s) == 3
+        # orthogonal states: every inverse shot fails, a swap shot half the time
+        assert first_failure_under_law("inverse", 0.0, 10, seed=0) == 1
+        draws = np.random.default_rng(3).random(50)
+        assert first_failure_under_law("swap", 0.0, 50, seed=3) == \
+            int(np.flatnonzero(draws < 0.5)[0]) + 1
 
     def test_all_zeros(self):
-        s = ShotStream(1, np.zeros(5, dtype=np.int64), seed=0)
-        assert bench.first_failure_shot(s) is None
+        for test in ("swap", "inverse"):
+            assert first_failure_under_law(test, 1.0, 10 ** 5, seed=0) is None
 
 
 class TestMinShots:
@@ -170,6 +177,26 @@ class TestRunBenchmark:
             ranks = sorted(r.rank for r in members)
             assert ranks[0] == 1
 
+    def test_csv_digest_pinned(self):
+        # The bench CSV is a reproducibility contract: a change to any
+        # verdict, shot count, rank or seed of this seeded corpus changes
+        # the digest.  It catches a 2.5% shift in a per-shot law, not 0.05%.
+        pairs = []
+        for i in range(12):
+            original = random_circuit(1 + i % 4, 1 + i % 5, seed=i)
+            mutants = mutation.mutate_qgd(original)
+            mutants += mutation.mutate_rgi(original, seed=i, count=2)
+            for j, rec in enumerate(mutation.filter_equivalent(original, mutants)):
+                pairs.append(bench.CorpusPair(f"c{i:02d}m{j:02d}", original,
+                                              rec.circuit))
+        cfg = bench.ExperimentConfig(
+            tests=("chi2", "g_test", "swap", "inverse", "statevector"),
+            repetitions=3, shot_cap_absolute=10 ** 4, base_seed=7)
+        text = bench.rows_to_csv(bench.run_benchmark(pairs, cfg))
+        assert len(pairs) == 51 and len(text.splitlines()) == 1 + 663
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c887db7477409140c79b19605f142a2dee4df56e2fb9aff535a7e75cfbf8a34b")
+
     def test_equivalent_pair_reported_as_error(self, tmp_path):
         c = Circuit(1, (GateApplication("h", (0,)),))
         (tmp_path / "o.qasm").write_text(emit_qasm(c))
@@ -195,6 +222,17 @@ class TestMetrics:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             bench.compute_metrics([])
+
+    def test_recall_undefined_when_every_row_errors(self):
+        # a near-equivalent pair that the shot planner rejects
+        h = Circuit(1, (GateApplication("h", (0,)),))
+        pair = bench.CorpusPair(
+            "near", h, h.appended(GateApplication("rz", (0,), (2e-9,))))
+        rows = bench.run_benchmark([pair], bench.ExperimentConfig(repetitions=2))
+        assert rows and all(r.verdict == "error" for r in rows)
+        m = bench.compute_metrics(rows)
+        assert m["swap"] == {"tp": 0, "fn": 0, "recall": None}
+        assert json.loads(json.dumps(m))["statevector"]["recall"] is None
 
     def test_statevector_recall_one(self, small_corpus):
         cfg = bench.ExperimentConfig(corpus=str(small_corpus), repetitions=2)

@@ -48,6 +48,18 @@ class TestExitCodes:
         assert run_cli("run", "--program", "missing.qasm",
                        "--expected", files["bell"], "--test", "chi2") == 3
 
+    def test_out_of_memory_is_two(self, files, monkeypatch, capsys):
+        # a shot stream too large to hold is a usage error, not a verdict
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate the shot stream")
+
+        monkeypatch.setattr("qut.testing.sample_from_probs", no_memory)
+        assert run_cli("run", "--program", files["bell"],
+                       "--expected", files["bell"], "--test", "chi2",
+                       "--shots", "1000000000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_parse_error_is_three(self, files, tmp_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")
@@ -79,9 +91,13 @@ class TestSubcommands:
             {"amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
         xx = tmp_path / "xx.qasm"
         xx.write_text(emit_qasm(Circuit(2, (GateApplication("x", (0,)),
-                                            GateApplication("x", (1,))))))
+                                            GateApplication("x", (1,)))))
+                      + "creg c[2];\nmeasure q[0] -> c[0];\n")
         assert run_cli("run", "--program", str(xx), "--expected", str(vec),
                        "--test", "statevector") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["outcome"] == "pass"
+        assert [w for w in out["warnings"] if "measurement stripped" in w]
 
     def test_mutate_writes_manifest(self, files, tmp_path, capsys):
         out = tmp_path / "mutants"

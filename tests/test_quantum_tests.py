@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ class TestSwapTest:
         target = run_statevector(H_CIRCUIT)
         v = swap_test(EMPTY_1Q, H_CIRCUIT, target, 100, seed=0)
         assert v.passed
+
+    def test_memory_bounded_at_1e8_shots(self):
+        # the per-shot law is sampled in chunks, never as one 1e8-draw array
+        tracemalloc.start()
+        try:
+            v = swap_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 10 ** 8, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.passed
+        assert peak < 16 * 2 ** 20
 
     def test_no_false_positives_on_random_equivalent_pairs(self):
         for seed in range(100):

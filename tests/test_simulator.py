@@ -6,13 +6,14 @@ import pytest
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
 from qut.jsonio import nearest_unitary
 from qut.simulator import (
-    CountsHistogram,
+    ShotStream,
+    first_failing_shot,
     marginal_probability_one,
     marginal_sample,
     run_statevector,
-    sample_counts,
     sample_from_probs,
 )
+from qut.testing import mc_statistical_test
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -41,36 +42,38 @@ class TestRunStatevector:
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10
 
 
+def _probs(c: Circuit) -> np.ndarray:
+    return run_statevector(c).probabilities()
+
+
 class TestSampling:
     def test_deterministic_stream(self):
-        c = Circuit(1, (GateApplication("h", (0,)),))
-        s1, h1 = sample_counts(c, 1000, seed=5)
-        s2, h2 = sample_counts(c, 1000, seed=5)
-        np.testing.assert_array_equal(s1.values, s2.values)
-        assert h1.counts == h2.counts
+        probs = _probs(Circuit(1, (GateApplication("h", (0,)),)))
+        np.testing.assert_array_equal(sample_from_probs(probs, 1000, seed=5),
+                                      sample_from_probs(probs, 1000, seed=5))
 
     def test_different_seeds_differ(self):
-        c = Circuit(1, (GateApplication("h", (0,)),))
-        s1, _ = sample_counts(c, 1000, seed=5)
-        s2, _ = sample_counts(c, 1000, seed=6)
-        assert not np.array_equal(s1.values, s2.values)
+        probs = _probs(Circuit(1, (GateApplication("h", (0,)),)))
+        assert not np.array_equal(sample_from_probs(probs, 1000, seed=5),
+                                  sample_from_probs(probs, 1000, seed=6))
 
     def test_zero_shots_rejected(self):
+        # the sampled tests reject an empty stream before drawing
         with pytest.raises(ValueError):
-            sample_counts(Circuit(1), 0, seed=0)
+            mc_statistical_test(Circuit(1), Circuit(1), Circuit(1), 0, 0.05,
+                                "mc_chi2", 10, seed=0)
 
     def test_histogram_consistency(self):
         c = Circuit(2, (GateApplication("h", (0,)),
                         GateApplication("cx", (0, 1))))
-        stream, hist = sample_counts(c, 500, seed=1)
-        assert sum(hist.counts.values()) == 500
-        assert all(len(k) == 2 for k in hist.counts)
-        assert set(hist.counts) <= {"00", "11"}
+        counts = np.bincount(sample_from_probs(_probs(c), 500, seed=1),
+                             minlength=4)
+        assert counts.sum() == 500
+        assert counts[1] == counts[2] == 0
 
     def test_h_frequency_within_3_sigma(self):
-        c = Circuit(1, (GateApplication("h", (0,)),))
-        _, hist = sample_counts(c, 10 ** 6, seed=12)
-        freq = hist.counts.get("0", 0) / 10 ** 6
+        probs = _probs(Circuit(1, (GateApplication("h", (0,)),)))
+        freq = (sample_from_probs(probs, 10 ** 6, seed=12) == 0).mean()
         assert abs(freq - 0.5) <= 0.0015
 
     def test_impossible_outcomes_never_sampled(self):
@@ -87,8 +90,8 @@ class TestSampling:
         for seed in range(10):
             c = random_circuit(3, 4, seed=seed)
             probs = run_statevector(c).probabilities()
-            _, hist = sample_counts(c, shots, seed=seed + 100)
-            arr = hist.as_array()
+            arr = np.bincount(sample_from_probs(probs, shots, seed=seed + 100),
+                              minlength=len(probs))
             for b, p in enumerate(probs):
                 sigma = math.sqrt(max(shots * p * (1 - p), 1e-30))
                 assert abs(arr[b] - shots * p) <= 5 * sigma + 1
@@ -126,12 +129,30 @@ class TestMarginal:
 class TestShotStream:
     def test_bitstrings_width(self):
         c = Circuit(2, (GateApplication("x", (1,)),))
-        stream, _ = sample_counts(c, 3, seed=0)
+        stream = ShotStream(2, sample_from_probs(_probs(c), 3, seed=0), seed=0)
         assert stream.bitstrings() == ["10", "10", "10"]
 
     def test_first_nonzero_one_based(self):
-        vals = sample_from_probs(np.array([0.0, 1.0]), 4, seed=0)
-        from qut.simulator import ShotStream
         s = ShotStream(1, np.array([0, 0, 1, 0]), seed=0)
         assert s.first_nonzero() == 3
         assert ShotStream(1, np.zeros(4, dtype=np.int64), seed=0).first_nonzero() is None
+
+
+class TestFirstFailingShot:
+    def test_matches_the_unchunked_stream(self):
+        # first failures from shot 1 to past the 2^16-draw chunk boundary
+        # (seeds 0-3 at p = 2e-6 fail at shots 150051, 98886, none, 141011)
+        for shots, p in ((10, 0.5), (70_000, 1e-5), (200_000, 1e-5),
+                         (200_000, 2e-6)):
+            for seed in range(5):
+                draws = np.random.default_rng(seed).random(shots)
+                hits = np.flatnonzero(draws < p)
+                want = int(hits[0]) + 1 if hits.size else None
+                got = first_failing_shot(lambda u: u < p, shots, seed)
+                assert got == want, (shots, p, seed)
+
+    def test_never_failing_law(self):
+        assert first_failing_shot(lambda u: u < 0.0, 300_000, seed=1) is None
+
+    def test_always_failing_law(self):
+        assert first_failing_shot(lambda u: u >= 0.0, 5, seed=1) == 1
