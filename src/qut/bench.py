@@ -25,7 +25,8 @@ from scipy import stats
 from .circuit import Circuit
 from .qasm import parse_qasm
 from .jsonio import parse_json
-from .shots import EquivalentStatesError, estimate_shots_for_pair
+from .core import fidelity
+from .shots import EquivalentStatesError, estimate_shots
 from .simulator import run_statevector, sample_from_probs
 from .testing import (
     MC_KINDS,
@@ -33,7 +34,7 @@ from .testing import (
     MultinomialIntractableError,
     first_failure_under_law,
     mc_p_value,
-    statevector_test,
+    statevector_verdict,
     statistical_p_value,
     _support,
 )
@@ -234,11 +235,15 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
 
 
 def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]:
+    """Rows of every configured test for one pair.  The original and the
+    mutant are simulated once each; sigma_11 is their fidelity, and it is
+    both the shot estimate's input and the swap and inverse laws' F."""
     rows: list[ExperimentRow] = []
-    empty_w = Circuit(pair.original.num_qubits)
+    original_state = run_statevector(pair.original)
+    mutant_state = run_statevector(pair.mutant)
     try:
-        estimate = estimate_shots_for_pair(pair.original, pair.mutant,
-                                           p_e=config.p_e)
+        estimate = estimate_shots(fidelity(mutant_state, original_state),
+                                  config.p_e)
     except EquivalentStatesError:
         return [ExperimentRow(pair.pair_id, t, 0, 0, "error", 0, 0)
                 for t in config.tests]
@@ -246,14 +251,13 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
               math.ceil(config.cap_factor * estimate.shots))
     cap = max(cap, 1)
 
-    original_state = run_statevector(pair.original)
     expected_probs = original_state.probabilities()
-    mutant_probs = run_statevector(pair.mutant).probabilities()
+    mutant_probs = mutant_state.probabilities()
 
     for test in config.tests:
         if test == "statevector":
             start = time.perf_counter()
-            verdict = statevector_test(empty_w, pair.mutant, original_state)
+            verdict = statevector_verdict(mutant_state, original_state)
             elapsed = int((time.perf_counter() - start) * 1000)
             seed = mix_seed(config.base_seed, pair.pair_id, test, 0)
             rows.append(ExperimentRow(

@@ -13,7 +13,7 @@ from . import gates
 from .circuit import Circuit, GateApplication
 from .core import fidelity
 from .simulator import run_statevector
-from .testing import DEFAULT_TOLERANCE, amplitude_deviation
+from .testing import DEFAULT_TOLERANCE, statevector_verdict
 
 RGI_ANGLE = math.pi / 180.0
 
@@ -102,7 +102,7 @@ def filter_equivalent(
     survivors = []
     for rec in mutants:
         state = run_statevector(rec.circuit)
-        if amplitude_deviation(state, original_state) <= tolerance:
+        if statevector_verdict(state, original_state, tolerance).passed:
             continue
         f = fidelity(state, original_state)
         survivors.append(replace(rec, fidelity_to_original=f))

@@ -3,7 +3,10 @@
 The error exponent for discriminating the all-zeros reference state from a
 buggy reversed state is -ln min_s Tr(rho^s sigma^(1-s)).  For the pure states
 produced by noise-free simulation this collapses to -ln sigma_11, giving the
-closed-form shot estimate max(ceil(ln P_e / ln sigma_11), 1).
+closed-form shot estimate max(ceil(ln P_e / ln sigma_11), 1).  For pure
+states sigma_11, the weight of |0...0> in the reversed state Z U |0...0>,
+equals the overlap |<psi_E|psi_A>|^2 of the expected and actual states, so
+it is computed as `core.fidelity` of the two n-qubit states.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Circuit, compose, invert_circuit
-from .core import DensityMatrix, DimensionMismatchError, fractional_power
+from .circuit import Circuit
+from .core import DensityMatrix, DimensionMismatchError, fidelity, fractional_power
 from .simulator import run_statevector
-from .testing import ExpectedSpec, expected_prep_circuit
+from .testing import ExpectedSpec, expected_state
 
 EQUIVALENT_THRESHOLD = 1.0 - 1e-15
 _GRID_POINTS = 101
@@ -114,15 +117,15 @@ def estimate_shots_for_pair(
     expected: ExpectedSpec | None = None,
     p_e: float = 0.05,
 ) -> ShotEstimate:
-    """Shot estimate for detecting `mutant` against the expected preparation.
+    """Shot estimate for detecting `mutant` against the expected state.
 
-    sigma_11 is |<0...0| Z U |0...0>|^2 where U is the mutant and Z inverts
-    the expected preparation (the original circuit by default).
+    sigma_11 is |<0...0| Z U |0...0>|^2, where U is the mutant and Z inverts
+    a preparation of the expected state (the original circuit's output by
+    default).  For pure states that is the overlap |<psi_E|U|0...0>|^2, so
+    it is computed as the fidelity of the two n-qubit states.
     """
-    prep = expected_prep_circuit(original if expected is None else expected)
-    reversed_state = run_statevector(compose(mutant, invert_circuit(prep)))
-    sigma11 = float(min(abs(reversed_state.amplitudes[0]) ** 2, 1.0))
-    return estimate_shots(sigma11, p_e)
+    psi_e = expected_state(original if expected is None else expected)
+    return estimate_shots(fidelity(run_statevector(mutant), psi_e), p_e)
 
 
 def shot_curve(

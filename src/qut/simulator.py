@@ -4,13 +4,13 @@ Sampling draws from the exact output distribution by inverse-CDF over the
 cumulative probability array; two-outcome laws (a shot fails or not) are
 sampled as a stream of uniform draws.  The generator is numpy's default PCG64
 seeded explicitly, so a (circuit, shots, seed) triple fully determines the
-stream.
+stream.  Verdicts read that stream in fixed-size chunks (`_uniform_chunks`),
+so their memory does not grow with the shot count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,37 +18,20 @@ from .circuit import Circuit, apply_gate
 from .core import StateVector
 
 PROB_FLOOR = 1e-16
-# Uniform draws held at once by `first_failing_shot`: 512 KiB of doubles.
+# Widest register `run_statevector` evolves: 2^24 amplitudes are 256 MiB.
+MAX_QUBITS = 24
+# Uniform draws held at once by the chunked samplers: 512 KiB of doubles.
 _DRAW_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class ShotStream:
-    """Ordered measurement outcomes as basis-state indices (qubit 0 = LSB)."""
-
-    num_qubits: int
-    values: np.ndarray = field(repr=False)
-    seed: int = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def bitstrings(self) -> list[str]:
-        return [format(v, f"0{self.num_qubits}b") for v in self.values]
-
-    def first_nonzero(self) -> int | None:
-        """1-based index of the first nonzero outcome, or None."""
-        nz = np.flatnonzero(self.values)
-        return int(nz[0]) + 1 if nz.size else None
-
-
 def run_statevector(c: Circuit) -> StateVector:
-    """Apply the circuit's gates to |0...0> in order."""
+    """Apply the circuit's gates to |0...0> in order.
+
+    Raises ValueError, before allocating, for more than MAX_QUBITS qubits.
+    """
+    if c.num_qubits > MAX_QUBITS:
+        raise ValueError(f"register of {c.num_qubits} qubits exceeds the "
+                         f"{MAX_QUBITS}-qubit simulation guard")
     state = StateVector.zero(c.num_qubits)
     for g in c.gates:
         state = apply_gate(state, g)
@@ -68,18 +51,32 @@ def sample_from_probs(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
+def _uniform_chunks(shots: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, draws) pairs that together are the stream of
+    `default_rng(seed).random(shots)`, at most _DRAW_CHUNK draws at a time."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, shots, _DRAW_CHUNK):
+        yield start, rng.random(min(_DRAW_CHUNK, shots - start))
+
+
+def sample_histogram(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts per basis state of `sample_from_probs(probs, shots, seed)`,
+    drawn chunk by chunk so memory does not grow with `shots`."""
+    cdf = _cdf(probs)
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for _, u in _uniform_chunks(shots, seed):
+        counts += np.bincount(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                              minlength=len(probs))
+    return counts
+
+
 def first_failing_shot(
     fails: Callable[[np.ndarray], np.ndarray], shots: int, seed: int
 ) -> int | None:
     """1-based index of the first of `shots` seeded uniform draws in [0, 1)
-    for which `fails` holds, or None.
-
-    The draws are the stream of `rng.random(shots)`, taken in chunks, so
-    memory stays bounded by the chunk size whatever the shot count.
-    """
-    rng = np.random.default_rng(seed)
-    for start in range(0, shots, _DRAW_CHUNK):
-        hit = np.flatnonzero(fails(rng.random(min(_DRAW_CHUNK, shots - start))))
+    for which `fails` holds, or None; the draws are `_uniform_chunks`'."""
+    for start, draws in _uniform_chunks(shots, seed):
+        hit = np.flatnonzero(fails(draws))
         if hit.size:
             return start + int(hit[0]) + 1
     return None
@@ -94,13 +91,13 @@ def marginal_probability_one(state: StateVector, qubit: int) -> float:
     return float(state.probabilities()[mask == 1].sum())
 
 
-def marginal_sample(c: Circuit, qubit: int, shots: int, seed: int) -> ShotStream:
-    """S seeded measurements of a single qubit's marginal distribution."""
+def marginal_sample(c: Circuit, qubit: int, shots: int, seed: int) -> np.ndarray:
+    """S seeded measurements (int64 bits, in shot order) of a single qubit's
+    marginal distribution."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p1 = marginal_probability_one(run_statevector(c), qubit)
     if p1 < PROB_FLOOR:
         p1 = 0.0
     rng = np.random.default_rng(seed)
-    bits = (rng.random(shots) < p1).astype(np.int64)
-    return ShotStream(1, bits, seed)
+    return (rng.random(shots) < p1).astype(np.int64)

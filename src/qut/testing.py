@@ -24,9 +24,8 @@ from .simulator import (
     PROB_FLOOR,
     first_failing_shot,
     run_statevector,
-    sample_from_probs,
+    sample_histogram,
 )
-from .synth import synthesize_state_prep
 
 STAT_KINDS = ("chi2", "g_test", "multinomial")
 MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
@@ -61,12 +60,6 @@ def expected_state(expected: ExpectedSpec) -> StateVector:
     if isinstance(expected, StateVector):
         return expected
     return run_statevector(expected)
-
-
-def expected_prep_circuit(expected: ExpectedSpec) -> Circuit:
-    if isinstance(expected, StateVector):
-        return synthesize_state_prep(expected)
-    return expected
 
 
 def chi2_statistic(observed: np.ndarray, expected_counts: np.ndarray) -> float:
@@ -154,8 +147,7 @@ def _check_statistical_args(shots: int, p_threshold: float, kind: str,
 
 def _sampled_counts(w: Circuit, u: Circuit, shots: int, seed: int) -> np.ndarray:
     """Histogram, indexed by basis state, of `shots` seeded measurements of W.U."""
-    probs = run_statevector(compose(w, u)).probabilities()
-    return np.bincount(sample_from_probs(probs, shots, seed), minlength=len(probs))
+    return sample_histogram(run_statevector(compose(w, u)).probabilities(), shots, seed)
 
 
 def statistical_test(
@@ -284,18 +276,27 @@ def swap_test(
     return _law_verdict("swap", w, u, expected, shots, seed)
 
 
-def amplitude_deviation(
-    actual: StateVector, expected: StateVector, mode: str = "global_phase"
-) -> float:
-    """Largest element-wise |actual - expected|.
+def statevector_verdict(
+    actual: StateVector,
+    expected: StateVector,
+    tolerance: float = DEFAULT_TOLERANCE,
+    mode: str = "global_phase",
+) -> TestVerdict:
+    """Pass iff the largest element-wise |actual - expected| is at most
+    `tolerance`.
 
-    In global_phase mode the actual state is first rotated so its
-    largest-magnitude amplitude agrees in phase with the expected one.
+    In global_phase mode (the default) the actual state is first rotated so
+    its largest-magnitude amplitude agrees in phase with the expected one;
+    strict mode compares the amplitudes as they are.
     """
+    if mode not in ("strict", "global_phase"):
+        raise ValueError("mode must be 'strict' or 'global_phase'")
     amps = actual.amplitudes
     if mode == "global_phase":
         amps = global_phase_aligned(amps, expected.amplitudes)
-    return float(np.abs(amps - expected.amplitudes).max())
+    deviation = float(np.abs(amps - expected.amplitudes).max())
+    return TestVerdict("pass" if deviation <= tolerance else "fail",
+                       max_amplitude_deviation=deviation)
 
 
 def statevector_test(
@@ -304,19 +305,10 @@ def statevector_test(
     expected: ExpectedSpec,
     tolerance: float = DEFAULT_TOLERANCE,
     mode: str = "global_phase",
-    max_qubits: int = 24,
 ) -> TestVerdict:
-    """Element-wise statevector comparison at `tolerance`; see
-    `amplitude_deviation` for the two modes (global_phase by default)."""
-    if mode not in ("strict", "global_phase"):
-        raise ValueError("mode must be 'strict' or 'global_phase'")
-    if u.num_qubits > max_qubits:
-        raise ValueError(f"register of {u.num_qubits} qubits exceeds the "
-                         f"{max_qubits}-qubit simulation guard")
-    deviation = amplitude_deviation(
-        run_statevector(compose(w, u)), expected_state(expected), mode)
-    return TestVerdict("pass" if deviation <= tolerance else "fail",
-                       max_amplitude_deviation=deviation)
+    """`statevector_verdict` of W.U's output against |psi_E>."""
+    return statevector_verdict(run_statevector(compose(w, u)),
+                               expected_state(expected), tolerance, mode)
 
 
 def inverse_test(

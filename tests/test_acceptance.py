@@ -270,7 +270,7 @@ class TestCriterion6EmpiricalLaws:
                 inverse_ok += 1
 
             sw = build_swap_harness(u, prep)
-            ones = marginal_sample(sw, 0, self.SHOTS, seed=i).values.mean()
+            ones = marginal_sample(sw, 0, self.SHOTS, seed=i).mean()
             p_one = 0.5 - 0.5 * f
             sig = math.sqrt(max(p_one * (1 - p_one) / self.SHOTS, 1e-30))
             if abs(ones - p_one) <= 5 * sig + 1e-4:

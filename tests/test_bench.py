@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qut import bench, mutation
+from qut import bench, mutation, simulator
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import emit_qasm
 from qut.simulator import sample_from_probs
-from qut.testing import first_failure_under_law, statistical_p_value
+from qut.testing import (
+    first_failure_under_law,
+    inverse_test,
+    statistical_p_value,
+    swap_test,
+)
 
 
 class TestSeedMixing:
@@ -196,6 +202,51 @@ class TestRunBenchmark:
         assert len(pairs) == 51 and len(text.splitlines()) == 1 + 663
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c887db7477409140c79b19605f142a2dee4df56e2fb9aff535a7e75cfbf8a34b")
+
+    def test_each_pair_simulated_twice(self, small_corpus, monkeypatch):
+        # the original and the mutant are simulated once each; sigma_11,
+        # the statevector row and every sampled row reuse those two states
+        real = simulator.run_statevector
+        widths = []
+
+        def counting(c):
+            widths.append(c.num_qubits)
+            return real(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qut") and getattr(module, "run_statevector", None) is real:
+                monkeypatch.setattr(module, "run_statevector", counting)
+        pairs = bench.load_corpus(small_corpus)
+        cfg = bench.ExperimentConfig(tests=bench.ALL_TESTS, repetitions=2,
+                                     mc_reps=20)
+        rows = bench.run_benchmark(pairs, cfg)
+        assert {r.verdict for r in rows} <= {"fail", "not_detected"}
+        assert sorted(widths) == [1, 1, 2, 2]
+
+    def test_law_rows_match_the_verdicts(self):
+        # a swap or inverse row is swap_test / inverse_test run on the pair
+        # at the row's seed, with the pair's shot cap as the shot count
+        pairs = []
+        for i in range(6):
+            original = random_circuit(1 + i % 3, 3, seed=40 + i)
+            mutants = mutation.mutate_qgd(original)
+            mutants += mutation.mutate_rgi(original, seed=i)
+            for j, rec in enumerate(mutation.filter_equivalent(original, mutants)):
+                pairs.append(bench.CorpusPair(f"c{i}m{j}", original, rec.circuit))
+        cfg = bench.ExperimentConfig(tests=("swap", "inverse"), repetitions=4,
+                                     shot_cap_absolute=2000)
+        rows = bench.run_benchmark(pairs, cfg)
+        by_id = {p.pair_id: p for p in pairs}
+        for r in rows:
+            pair = by_id[r.pair_id]
+            cap = max(min(cfg.shot_cap_absolute,
+                          math.ceil(cfg.cap_factor * r.shot_estimate)), 1)
+            run = swap_test if r.test == "swap" else inverse_test
+            verdict = run(Circuit(pair.original.num_qubits), pair.mutant,
+                          pair.original, cap, r.seed)
+            want = r.shots_used if r.verdict == "fail" else None
+            assert verdict.first_failure_shot == want, (r.pair_id, r.test)
+        assert {r.verdict for r in rows} == {"fail", "not_detected"}
 
     def test_equivalent_pair_reported_as_error(self, tmp_path):
         c = Circuit(1, (GateApplication("h", (0,)),))

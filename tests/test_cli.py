@@ -53,12 +53,23 @@ class TestExitCodes:
         def no_memory(*args, **kwargs):
             raise MemoryError("cannot allocate the shot stream")
 
-        monkeypatch.setattr("qut.testing.sample_from_probs", no_memory)
+        monkeypatch.setattr("qut.testing.sample_histogram", no_memory)
         assert run_cli("run", "--program", files["bell"],
                        "--expected", files["bell"], "--test", "chi2",
                        "--shots", "1000000000") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_register_past_the_simulation_guard_is_two(self, tmp_path, capsys):
+        wide = tmp_path / "wide.qasm"
+        wide.write_text(emit_qasm(Circuit(30, (GateApplication("h", (0,)),))))
+        for test in ("swap", "inverse", "chi2"):
+            assert run_cli("run", "--program", str(wide), "--expected",
+                           str(wide), "--test", test, "--shots", "10") == 2
+        assert run_cli("estimate-shots", "--program", str(wide),
+                       "--expected", str(wide)) == 2
+        err = capsys.readouterr().err
+        assert "simulation guard" in err and "Traceback" not in err
 
     def test_parse_error_is_three(self, files, tmp_path):
         bad = tmp_path / "bad.qasm"

@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qut.circuit import Circuit, GateApplication
+from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.core import (
     DensityMatrix,
     StateVector,
     density_from_pure,
+    fidelity,
     random_statevector,
 )
 from qut.shots import (
@@ -19,6 +21,7 @@ from qut.shots import (
     shot_curve,
     shot_curve_csv,
 )
+from qut.simulator import run_statevector
 
 RHO_ZERO_1Q = density_from_pure(StateVector.zero(1))
 
@@ -133,6 +136,23 @@ class TestEstimateForPair:
         c = Circuit(1, (GateApplication("h", (0,)),))
         with pytest.raises(EquivalentStatesError):
             estimate_shots_for_pair(c, c)
+
+    def test_statevector_expectation_needs_no_synthesis(self, monkeypatch):
+        # sigma_11 is the overlap of the two n-qubit states, so planning
+        # against a StateVector synthesizes no preparation of it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state preparation was synthesized")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qut.") and hasattr(module, "synthesize_state_prep"):
+                monkeypatch.setattr(module, "synthesize_state_prep", refuse)
+        rng = np.random.default_rng(5)
+        for seed in range(10):
+            n = 1 + seed % 3
+            expected = random_statevector(n, rng)
+            mutant = random_circuit(n, 3, seed=seed)
+            est = estimate_shots_for_pair(Circuit(n), mutant, expected)
+            assert est.sigma11 == fidelity(run_statevector(mutant), expected)
 
 
 class TestShotCurve:

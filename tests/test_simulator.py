@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
 from qut.jsonio import nearest_unitary
 from qut.simulator import (
-    ShotStream,
     first_failing_shot,
     marginal_probability_one,
     marginal_sample,
     run_statevector,
     sample_from_probs,
+    sample_histogram,
 )
 from qut.testing import mc_statistical_test
 
@@ -40,6 +41,17 @@ class TestRunStatevector:
         for seed in range(50):
             s = run_statevector(random_circuit(4, 5, seed=seed))
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10
+
+    def test_width_guard_before_allocation(self):
+        # a 30-qubit register would need 16 GiB; the guard raises first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="simulation guard"):
+                run_statevector(Circuit(30, (GateApplication("h", (0,)),)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _probs(c: Circuit) -> np.ndarray:
@@ -101,14 +113,13 @@ class TestMarginal:
     def test_swap_harness_identical_preps_all_zero(self):
         prep = Circuit(1, (GateApplication("h", (0,)),))
         h = build_swap_harness(prep, prep)
-        stream = marginal_sample(h, 0, 1000, seed=8)
-        assert stream.first_nonzero() is None
+        bits = marginal_sample(h, 0, 1000, seed=8)
+        assert bits.dtype == np.int64 and not bits.any()
 
     def test_orthogonal_preps_half(self):
         a = Circuit(1, (GateApplication("x", (0,)),))
         h = build_swap_harness(a, Circuit(1))
-        stream = marginal_sample(h, 0, 10 ** 5, seed=8)
-        freq = stream.values.mean()
+        freq = marginal_sample(h, 0, 10 ** 5, seed=8).mean()
         # ancilla reads 1 with probability (1 - overlap)/2 = 0.5
         assert abs(freq - 0.5) <= 5 * math.sqrt(0.25 / 10 ** 5)
 
@@ -118,24 +129,39 @@ class TestMarginal:
                           GateApplication("cx", (0, 2))))
         state = run_statevector(ghz)
         assert marginal_probability_one(state, 0) == pytest.approx(0.5)
-        stream = marginal_sample(ghz, 0, 10 ** 5, seed=2)
-        assert abs(stream.values.mean() - 0.5) <= 5 * math.sqrt(0.25 / 10 ** 5)
+        freq = marginal_sample(ghz, 0, 10 ** 5, seed=2).mean()
+        assert abs(freq - 0.5) <= 5 * math.sqrt(0.25 / 10 ** 5)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             marginal_sample(Circuit(1), 1, 10, seed=0)
 
 
-class TestShotStream:
-    def test_bitstrings_width(self):
-        c = Circuit(2, (GateApplication("x", (1,)),))
-        stream = ShotStream(2, sample_from_probs(_probs(c), 3, seed=0), seed=0)
-        assert stream.bitstrings() == ["10", "10", "10"]
+class TestSampleHistogram:
+    def test_matches_the_unchunked_stream(self):
+        # same counts as histogramming sample_from_probs, across the
+        # 2^16-draw chunk boundary, including a probability below the floor
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            probs = rng.dirichlet(np.ones(2 ** int(rng.integers(1, 5))))
+            if trial % 5 == 0:
+                probs[0], probs[-1] = probs[0] + probs[-1] - 1e-18, 1e-18
+            shots = int(rng.choice([1, 13, 1 << 16, (1 << 16) + 1, 200_000]))
+            want = np.bincount(sample_from_probs(probs, shots, seed=trial),
+                               minlength=len(probs))
+            got = sample_histogram(probs, shots, seed=trial)
+            np.testing.assert_array_equal(got, want)
 
-    def test_first_nonzero_one_based(self):
-        s = ShotStream(1, np.array([0, 0, 1, 0]), seed=0)
-        assert s.first_nonzero() == 3
-        assert ShotStream(1, np.zeros(4, dtype=np.int64), seed=0).first_nonzero() is None
+    def test_memory_bounded_at_1e7_shots(self):
+        # the whole stream would take 80 MB of draws and 80 MB of indices
+        tracemalloc.start()
+        try:
+            counts = sample_histogram(np.array([0.25, 0.75]), 10 ** 7, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 10 ** 7
+        assert peak < 4 << 20
 
 
 class TestFirstFailingShot:
