@@ -4,11 +4,12 @@ seeded random-circuit generation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from . import gates
-from .core import StateVector, apply_unitary
+from .core import StateVector
 
 
 class NonInvertibleGateError(ValueError):
@@ -29,6 +30,9 @@ class GateApplication:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {self.kind}: {self.targets}")
+        if any(q < 0 for q in self.targets):
+            raise IndexError(f"gate {self.kind} targets {self.targets}: a "
+                             "negative qubit index is out of range")
         if self.kind == gates.CUSTOM:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (1 << len(self.targets), 1 << len(self.targets)):
@@ -111,7 +115,31 @@ class Circuit:
 
 def apply_gate(state: StateVector, gate: GateApplication) -> StateVector:
     """Evolve `state` by one gate."""
-    return apply_unitary(state, gate.unitary(), gate.targets)
+    c = Circuit(state.num_qubits, (gate,))
+    return StateVector(c.num_qubits, evolve(state.amplitudes, c.gates))
+
+
+def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
+    """Flat amplitudes (qubit 0 the least significant bit) after gates `gs`.
+
+    The gate kernel: the state is one (2,)*n array whose axis a holds qubit
+    order[a].  Each gate transposes its targets to the front (most
+    significant first), reshapes to (2^k, -1), which copies once, and is
+    left-multiplied by the gate's matrix; the new axis order is recorded
+    instead of moving axes back.  One transpose restores the canonical order
+    at the end.  Targets are assumed in range, as a `Circuit` checks.
+    """
+    n = amplitudes.size.bit_length() - 1
+    shape = (2,) * n
+    psi = amplitudes.reshape(shape)
+    order = list(range(n - 1, -1, -1))
+    for g in gs:
+        front = [order.index(q) for q in reversed(g.targets)]
+        perm = front + [a for a in range(n) if a not in front]
+        block = psi.transpose(perm).reshape(1 << len(front), -1)
+        psi = (g.unitary() @ block).reshape(shape)
+        order = [order[a] for a in perm]
+    return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
 
 
 def compose(*circuits: Circuit, name: str = "") -> Circuit:

@@ -121,26 +121,6 @@ def fractional_power(dm: DensityMatrix, p: float) -> np.ndarray:
     return (evecs * powered) @ evecs.conj().T
 
 
-def apply_unitary(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> StateVector:
-    """Left-multiply `state` by `matrix` embedded on `targets`.
-
-    Matrix bit j (LSB first) acts on targets[j]; see gates module.
-    """
-    n = state.num_qubits
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError("duplicate target indices")
-    if any(q < 0 or q >= n for q in targets):
-        raise IndexError(f"target index out of range for {n} qubits")
-    psi = state.amplitudes.reshape([2] * n)  # axis i holds qubit n-1-i
-    src = [n - 1 - q for q in reversed(targets)]  # MSB target first
-    psi = np.moveaxis(psi, src, range(k))
-    moved_shape = psi.shape
-    psi = matrix @ psi.reshape(1 << k, -1)
-    psi = np.moveaxis(psi.reshape(moved_shape), range(k), src)
-    return StateVector(n, psi.reshape(-1))
-
-
 def global_phase_aligned(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Rotate `actual` so its largest-magnitude amplitude matches `expected`'s phase."""
     idx = int(np.argmax(np.abs(actual)))

@@ -85,6 +85,8 @@ class GateSpec:
 
 
 def _fixed(m: np.ndarray) -> Callable[..., np.ndarray]:
+    # every application shares this one matrix, so nothing may write to it
+    m.flags.writeable = False
     return lambda: m
 
 

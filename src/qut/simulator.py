@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, apply_gate
+from .circuit import Circuit, evolve
 from .core import StateVector
 
 PROB_FLOOR = 1e-16
@@ -32,10 +32,9 @@ def run_statevector(c: Circuit) -> StateVector:
     if c.num_qubits > MAX_QUBITS:
         raise ValueError(f"register of {c.num_qubits} qubits exceeds the "
                          f"{MAX_QUBITS}-qubit simulation guard")
-    state = StateVector.zero(c.num_qubits)
-    for g in c.gates:
-        state = apply_gate(state, g)
-    return state
+    amps = np.zeros(1 << c.num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(c.num_qubits, evolve(amps, c.gates))
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:

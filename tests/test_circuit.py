@@ -51,6 +51,8 @@ class TestCircuit:
     def test_target_bound_check(self):
         with pytest.raises(IndexError):
             Circuit(1, (GateApplication("cx", (0, 1)),))
+        with pytest.raises(IndexError, match="out of range"):
+            GateApplication("x", (-1,))
 
     def test_appended_is_pure(self):
         c = bell()

@@ -71,6 +71,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "simulation guard" in err and "Traceback" not in err
 
+    def test_negative_target_is_a_file_error(self, files, tmp_path, capsys):
+        # rejected where the circuit is built, like a target past the register
+        neg = tmp_path / "neg.json"
+        neg.write_text(json.dumps({"num_qubits": 1, "gates": [
+            {"kind": "x", "targets": [-1]}]}))
+        assert run_cli("run", "--program", str(neg), "--expected",
+                       files["bell"], "--test", "statevector") == 3
+        err = capsys.readouterr().err
+        assert "out of range" in err and "Traceback" not in err
+
     def test_parse_error_is_three(self, files, tmp_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")

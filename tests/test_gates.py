@@ -84,6 +84,15 @@ def test_equivalence_class_lookup():
     assert set(gates.equivalence_class("crx")) == {"crx", "cry", "crz", "cp"}
 
 
+def test_fixed_catalog_matrices_are_read_only():
+    # every application of a fixed gate shares one matrix
+    for name, spec in gates.CATALOG.items():
+        if spec.num_params == 0:
+            with pytest.raises(ValueError):
+                gates.gate_matrix(name)[0, 0] = 5
+    np.testing.assert_array_equal(gates.gate_matrix("x"), [[0, 1], [1, 0]])
+
+
 def test_unknown_gate_rejected():
     with pytest.raises(KeyError):
         gates.gate_matrix("nope", ())

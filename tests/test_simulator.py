@@ -54,6 +54,40 @@ class TestRunStatevector:
         assert peak < 1 << 20
 
 
+def _moveaxis_oracle(c: Circuit) -> np.ndarray:
+    """The former per-gate path: move the targets' axes to the front,
+    matmul, and move them back, on every gate."""
+    n = c.num_qubits
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    for g in c.gates:
+        k = len(g.targets)
+        src = [n - 1 - q for q in reversed(g.targets)]  # MSB target first
+        moved = np.moveaxis(psi.reshape([2] * n), src, range(k))
+        out = g.unitary() @ moved.reshape(1 << k, -1)
+        psi = np.moveaxis(out.reshape(moved.shape), range(k), src).reshape(-1)
+    return psi
+
+
+class TestKernelBitIdentity:
+    def test_matches_the_moveaxis_path_on_random_circuits(self):
+        # 1-12 qubits; ccx/cswap from random_circuit and custom 1-3 qubit
+        # unitaries spliced in at random positions
+        rng = np.random.default_rng(2024)
+        for i in range(200):
+            n = 1 + i % 12
+            gs = list(random_circuit(n, 1 + i % 6, seed=i).gates)
+            for _ in range(2):
+                k = int(rng.integers(1, min(n, 3) + 1))
+                z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+                targets = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+                gs.insert(int(rng.integers(len(gs) + 1)),
+                          GateApplication("unitary", targets, matrix=nearest_unitary(z)))
+            c = Circuit(n, tuple(gs))
+            assert np.array_equal(run_statevector(c).amplitudes,
+                                  _moveaxis_oracle(c)), i
+
+
 def _probs(c: Circuit) -> np.ndarray:
     return run_statevector(c).probabilities()
 
