@@ -85,12 +85,17 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_i conj(a_i) b_i."""
+def check_same_width(a: StateVector, b: StateVector) -> None:
+    """Raise DimensionMismatchError unless a and b have the same qubit count."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatchError(
             f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
         )
+
+
+def inner_product(a: StateVector, b: StateVector) -> complex:
+    """<a|b> = sum_i conj(a_i) b_i."""
+    check_same_width(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 

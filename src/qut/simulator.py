@@ -5,7 +5,10 @@ cumulative probability array; two-outcome laws (a shot fails or not) are
 sampled as a stream of uniform draws.  The generator is numpy's default PCG64
 seeded explicitly, so a (circuit, shots, seed) triple fully determines the
 stream.  Verdicts read that stream in fixed-size chunks (`_uniform_chunks`),
-so their memory does not grow with the shot count.
+so their memory does not grow with the shot count.  A histogram of the stream
+(`sample_histogram`) is counted per chunk by sorting the chunk and searching
+the CDF edges into it: one search per outcome instead of one per shot, with
+the same counts as histogramming `sample_from_probs`.
 """
 
 from __future__ import annotations
@@ -60,13 +63,20 @@ def _uniform_chunks(shots: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def sample_histogram(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts per basis state of `sample_from_probs(probs, shots, seed)`,
-    drawn chunk by chunk so memory does not grow with `shots`."""
+    drawn chunk by chunk so memory does not grow with `shots`.
+
+    Each chunk is scaled and sorted, and the CDF edges are searched into it:
+    a draw lies below edge j exactly when `sample_from_probs` maps it to an
+    index <= j, so the running count below each edge, differenced, is the
+    histogram.
+    """
     cdf = _cdf(probs)
-    counts = np.zeros(len(probs), dtype=np.int64)
+    below = np.zeros(len(probs), dtype=np.int64)
     for _, u in _uniform_chunks(shots, seed):
-        counts += np.bincount(np.searchsorted(cdf, u * cdf[-1], side="right"),
-                              minlength=len(probs))
-    return counts
+        u *= cdf[-1]
+        u.sort()
+        below += np.searchsorted(u, cdf, side="left")
+    return np.diff(below, prepend=0)
 
 
 def first_failing_shot(

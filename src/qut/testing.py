@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .circuit import Circuit, compose
-from .core import StateVector, fidelity, global_phase_aligned
+from .core import StateVector, check_same_width, fidelity, global_phase_aligned
 from .simulator import (
     PROB_FLOOR,
     first_failing_shot,
@@ -145,9 +145,15 @@ def _check_statistical_args(shots: int, p_threshold: float, kind: str,
         raise ValueError(f"kind must be one of {kinds}")
 
 
-def _sampled_counts(w: Circuit, u: Circuit, shots: int, seed: int) -> np.ndarray:
-    """Histogram, indexed by basis state, of `shots` seeded measurements of W.U."""
-    return sample_histogram(run_statevector(compose(w, u)).probabilities(), shots, seed)
+def _sampled_counts(
+    w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of `shots` seeded measurements of W.U, and |psi_E>'s
+    distribution, both by basis state; widths are checked before any draw."""
+    actual = run_statevector(compose(w, u))
+    target = expected_state(expected)
+    check_same_width(actual, target)
+    return sample_histogram(actual.probabilities(), shots, seed), target.probabilities()
 
 
 def statistical_test(
@@ -161,8 +167,7 @@ def statistical_test(
 ) -> TestVerdict:
     """Sample W.U and compare the histogram with |psi_E>'s distribution."""
     _check_statistical_args(shots, p_threshold, kind, STAT_KINDS)
-    counts = _sampled_counts(w, u, shots, seed)
-    probs = expected_state(expected).probabilities()
+    counts, probs = _sampled_counts(w, u, expected, shots, seed)
     p = statistical_p_value(counts, probs, kind)
     warns = ()
     if shots < PEARSON_MIN_SHOTS:
@@ -233,8 +238,7 @@ def mc_statistical_test(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     _check_statistical_args(shots, p_threshold, kind, MC_KINDS)
-    counts = _sampled_counts(w, u, shots, seed)
-    probs = expected_state(expected).probabilities()
+    counts, probs = _sampled_counts(w, u, expected, shots, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4D43]))  # "MC"
     p = mc_p_value(counts, probs, kind, repetitions, rng)
     return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p)
@@ -287,10 +291,15 @@ def statevector_verdict(
 
     In global_phase mode (the default) the actual state is first rotated so
     its largest-magnitude amplitude agrees in phase with the expected one;
-    strict mode compares the amplitudes as they are.
+    strict mode compares the amplitudes as they are.  Raises ValueError for a
+    negative or NaN tolerance and DimensionMismatchError for states of
+    different widths.
     """
     if mode not in ("strict", "global_phase"):
         raise ValueError("mode must be 'strict' or 'global_phase'")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    check_same_width(actual, expected)
     amps = actual.amplitudes
     if mode == "global_phase":
         amps = global_phase_aligned(amps, expected.amplitudes)

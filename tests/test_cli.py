@@ -81,6 +81,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "out of range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("test", ["chi2", "g", "mc-g", "multinomial",
+                                      "statevector"])
+    def test_width_mismatch_is_two_before_any_draw(self, files, tmp_path,
+                                                   monkeypatch, capsys, test):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew shots before checking widths")
+
+        monkeypatch.setattr("qut.testing.sample_histogram", no_draws)
+        one = tmp_path / "one.qasm"
+        one.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        assert run_cli("run", "--program", str(one), "--expected",
+                       files["bell"], "--test", test,
+                       "--shots", "10000000") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubit counts differ: 1 vs 2" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_is_two(self, tmp_path, capsys,
+                                              tolerance):
+        h = tmp_path / "h.qasm"
+        h.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        assert run_cli("run", "--program", str(h), "--expected", str(h),
+                       "--test", "statevector", "--tolerance", tolerance) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be >= 0" in captured.err
+
     def test_parse_error_is_three(self, files, tmp_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")

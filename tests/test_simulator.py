@@ -186,6 +186,60 @@ class TestSampleHistogram:
             got = sample_histogram(probs, shots, seed=trial)
             np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def assert_matches_oracle(probs, shots, seed):
+        want = np.bincount(sample_from_probs(probs, shots, seed),
+                           minlength=len(probs))
+        got = sample_histogram(probs, shots, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_matches_the_stream_on_wide_distributions(self):
+        # 2^8-2^12 outcomes, across the chunk boundary
+        rng = np.random.default_rng(23)
+        for trial in range(10):
+            probs = rng.dirichlet(np.ones(2 ** int(rng.integers(8, 13))))
+            shots = int(rng.choice([500, (1 << 16) + 7, 150_000]))
+            self.assert_matches_oracle(probs, shots, seed=100 + trial)
+
+    def test_matches_the_stream_on_runs_of_zeros(self):
+        # repeated CDF edges: long runs of zero and sub-floor probabilities,
+        # at the start, in the middle and at the end of the distribution
+        rng = np.random.default_rng(29)
+        for trial in range(12):
+            k = 2 ** int(rng.integers(2, 11))
+            probs = rng.random(k) * (rng.random(k) < 0.1)
+            probs[int(rng.integers(k))] += 1.0
+            probs[: k // 4] = 0.0 if trial % 2 else 1e-17
+            probs[k - k // 8:] = 0.0
+            probs[k // 4] += 0.5
+            probs /= probs.sum()
+            self.assert_matches_oracle(probs, 70_000, seed=200 + trial)
+
+    def test_matches_the_stream_on_one_hot_distributions(self):
+        for k in (2, 16, 1024):
+            for hot in (0, k // 2, k - 1):
+                probs = np.zeros(k)
+                probs[hot] = 1.0
+                self.assert_matches_oracle(probs, 1000, seed=hot)
+                assert sample_histogram(probs, 1000, seed=hot)[hot] == 1000
+
+    def test_a_draw_on_a_cdf_edge_counts_for_the_next_outcome(self):
+        # sample_from_probs maps a draw equal to cdf[j] past outcome j
+        for seed in range(5):
+            u = np.random.default_rng(seed).random(3)
+            probs = np.array([u[1], 1.0 - u[1]])  # cdf[0] is the second draw
+            assert probs.sum() == 1.0  # so the draws are not rescaled
+            self.assert_matches_oracle(probs, 3, seed)
+            assert sample_histogram(probs, 3, seed)[1] >= 1
+
+    def test_matches_the_stream_with_more_outcomes_than_draws(self):
+        # 2^17 outcomes, a few hundred shots: most CDF edges have no draw
+        rng = np.random.default_rng(31)
+        for trial in range(3):
+            probs = rng.dirichlet(np.ones(1 << 17))
+            self.assert_matches_oracle(probs, 300, seed=300 + trial)
+
     def test_memory_bounded_at_1e7_shots(self):
         # the whole stream would take 80 MB of draws and 80 MB of indices
         tracemalloc.start()
