@@ -1,14 +1,17 @@
 """Noise-free statevector evolution and seeded measurement sampling.
 
-Sampling draws from the exact output distribution by inverse-CDF over the
-cumulative probability array; two-outcome laws (a shot fails or not) are
-sampled as a stream of uniform draws.  The generator is numpy's default PCG64
-seeded explicitly, so a (circuit, shots, seed) triple fully determines the
-stream.  Verdicts read that stream in fixed-size chunks (`_uniform_chunks`),
-so their memory does not grow with the shot count.  A histogram of the stream
-(`sample_histogram`) is counted per chunk by sorting the chunk and searching
-the CDF edges into it: one search per outcome instead of one per shot, with
-the same counts as histogramming `sample_from_probs`.
+The generator is numpy's default PCG64 seeded explicitly, so a (circuit,
+shots, seed) triple fully determines every sample.  Three samplers draw from
+it:
+
+- `multinomial_counts`: the statistical verdicts' histogram, one multinomial
+  draw of the shot count over the output distribution, so its cost grows with
+  the number of outcomes and not with the shot count.
+- `first_failing_shot`: the swap and inverse laws (a shot fails or not), a
+  stream of uniform draws read in fixed-size chunks (`_uniform_chunks`), so
+  memory does not grow with the shot count.
+- `sample_from_probs`: a realized sequence of basis indices by inverse-CDF,
+  for callers that read its prefixes (the bench's min-shot search).
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .core import StateVector
 PROB_FLOOR = 1e-16
 # Widest register `run_statevector` evolves: 2^24 amplitudes are 256 MiB.
 MAX_QUBITS = 24
-# Uniform draws held at once by the chunked samplers: 512 KiB of doubles.
+# Largest shot count the samplers hold: numpy draws counts as int64.
+MAX_SHOTS = 2 ** 63 - 1
+# Uniform draws held at once by `_uniform_chunks`: 512 KiB of doubles.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -40,14 +45,13 @@ def run_statevector(c: Circuit) -> StateVector:
     return StateVector(c.num_qubits, evolve(amps, c.gates))
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    p = np.where(probs < PROB_FLOOR, 0.0, probs)
-    return np.cumsum(p)
+def _floored(probs: np.ndarray) -> np.ndarray:
+    return np.where(probs < PROB_FLOOR, 0.0, probs)
 
 
 def sample_from_probs(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampling of `shots` basis indices from `probs`."""
-    cdf = _cdf(probs)
+    cdf = np.cumsum(_floored(probs))
     rng = np.random.default_rng(seed)
     u = rng.random(shots) * cdf[-1]
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
@@ -61,22 +65,18 @@ def _uniform_chunks(shots: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
         yield start, rng.random(min(_DRAW_CHUNK, shots - start))
 
 
-def sample_histogram(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Counts per basis state of `sample_from_probs(probs, shots, seed)`,
-    drawn chunk by chunk so memory does not grow with `shots`.
+def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts per basis state of `shots` seeded measurements of `probs`.
 
-    Each chunk is scaled and sorted, and the CDF edges are searched into it:
-    a draw lies below edge j exactly when `sample_from_probs` maps it to an
-    index <= j, so the running count below each edge, differenced, is the
-    histogram.
+    One `default_rng(seed).multinomial` draw over the outcomes at or above
+    PROB_FLOOR, renormalized; outcomes below the floor are never counted.
     """
-    cdf = _cdf(probs)
-    below = np.zeros(len(probs), dtype=np.int64)
-    for _, u in _uniform_chunks(shots, seed):
-        u *= cdf[-1]
-        u.sort()
-        below += np.searchsorted(u, cdf, side="left")
-    return np.diff(below, prepend=0)
+    p = _floored(probs)
+    support = np.flatnonzero(p)
+    counts = np.zeros(len(probs), dtype=np.int64)
+    counts[support] = np.random.default_rng(seed).multinomial(
+        shots, p[support] / p[support].sum())
+    return counts
 
 
 def first_failing_shot(

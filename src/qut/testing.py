@@ -21,10 +21,11 @@ from scipy import stats
 from .circuit import Circuit, compose
 from .core import StateVector, check_same_width, fidelity, global_phase_aligned
 from .simulator import (
+    MAX_SHOTS,
     PROB_FLOOR,
     first_failing_shot,
+    multinomial_counts,
     run_statevector,
-    sample_histogram,
 )
 
 STAT_KINDS = ("chi2", "g_test", "multinomial")
@@ -135,10 +136,14 @@ def statistical_p_value(
     raise ValueError(f"unknown statistical kind '{kind}'")
 
 
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+
+
 def _check_statistical_args(shots: int, p_threshold: float, kind: str,
                             kinds: tuple[str, ...]) -> None:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     if not 0.0 < p_threshold < 1.0:
         raise ValueError("p threshold must lie in (0, 1)")
     if kind not in kinds:
@@ -153,7 +158,7 @@ def _sampled_counts(
     actual = run_statevector(compose(w, u))
     target = expected_state(expected)
     check_same_width(actual, target)
-    return sample_histogram(actual.probabilities(), shots, seed), target.probabilities()
+    return multinomial_counts(actual.probabilities(), shots, seed), target.probabilities()
 
 
 def statistical_test(
@@ -264,8 +269,7 @@ def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int |
 def _law_verdict(
     test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     f = fidelity(run_statevector(compose(w, u)), expected_state(expected))
     first = first_failure_under_law(test, f, shots, seed)
     if first is None:

@@ -53,7 +53,7 @@ class TestExitCodes:
         def no_memory(*args, **kwargs):
             raise MemoryError("cannot allocate the shot stream")
 
-        monkeypatch.setattr("qut.testing.sample_histogram", no_memory)
+        monkeypatch.setattr("qut.testing.multinomial_counts", no_memory)
         assert run_cli("run", "--program", files["bell"],
                        "--expected", files["bell"], "--test", "chi2",
                        "--shots", "1000000000") == 2
@@ -88,7 +88,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew shots before checking widths")
 
-        monkeypatch.setattr("qut.testing.sample_histogram", no_draws)
+        monkeypatch.setattr("qut.testing.multinomial_counts", no_draws)
         one = tmp_path / "one.qasm"
         one.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
         assert run_cli("run", "--program", str(one), "--expected",
@@ -98,6 +98,47 @@ class TestExitCodes:
         assert captured.out == ""
         assert "qubit counts differ: 1 vs 2" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("test", ["chi2", "g", "multinomial", "mc-chi2",
+                                      "mc-g", "mc-multinomial", "swap",
+                                      "inverse"])
+    def test_shots_past_int64_are_two_before_any_draw(self, files, monkeypatch,
+                                                      capsys, test):
+        # numpy samplers hold at most 2^63 - 1 shots
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew shots before checking the shot count")
+
+        monkeypatch.setattr("qut.testing.multinomial_counts", no_draws)
+        monkeypatch.setattr("qut.simulator._uniform_chunks", no_draws)
+        assert run_cli("run", "--program", files["bell"], "--expected",
+                       files["bell"], "--test", test,
+                       "--shots", str(2 ** 63)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shots must lie in")
+        assert "Traceback" not in captured.err
+
+    def test_multinomial_refusal_draws_no_shot_stream(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # the enumeration limit is met after one multinomial draw, not after
+        # 10^8 uniforms; an out-of-support shot still fails before the refusal
+        def no_stream(*args, **kwargs):
+            raise AssertionError("drew a per-shot stream")
+
+        monkeypatch.setattr("qut.simulator._uniform_chunks", no_stream)
+        h = tmp_path / "h.qasm"
+        h.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        zero = tmp_path / "zero.qasm"
+        zero.write_text(emit_qasm(Circuit(1)))
+        argv = ("run", "--program", str(h), "--test", "multinomial",
+                "--shots", "100000000", "--expected")
+        assert run_cli(*argv, str(h)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed enumeration limit" in captured.err
+        assert run_cli(*argv, str(zero)) == 1
+        assert json.loads(capsys.readouterr().out) == {"outcome": "fail",
+                                                       "p_value": 0.0}
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_negative_or_nan_tolerance_is_two(self, tmp_path, capsys,

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from qut.circuit import Circuit, GateApplication
+from qut.simulator import multinomial_counts, run_statevector
 from qut.testing import (
     MC_KINDS,
     MultinomialIntractableError,
@@ -88,9 +89,21 @@ class TestExactMultinomial:
 
 class TestStatisticalTest:
     def test_correct_program_passes(self):
-        v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 2000, 0.05,
-                             "chi2", seed=4)
-        assert v.passed and v.p_value >= 0.05
+        # a correct program fails only by chance: its false alarms over 400
+        # seeds are Binomial(400, a), where a is the exact chance that 2000
+        # fair shots give p < 0.05 (a = 0.0517); the count must lie within
+        # that law's 1e-6 tails
+        shots, seeds = 2000, 400
+        x = np.arange(shots + 1)
+        rejected = stats.chi2.sf((x - shots / 2) ** 2 / (shots / 4), 1) < 0.05
+        alarms = stats.binom(seeds, stats.binom.pmf(x, shots, 0.5)[rejected].sum())
+        fails = 0
+        for seed in range(seeds):
+            v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, shots, 0.05,
+                                 "chi2", seed=seed)
+            assert v.passed == (v.p_value >= 0.05)
+            fails += not v.passed
+        assert alarms.ppf(1e-6) <= fails <= alarms.isf(1e-6)
 
     def test_impossible_outcome_fails_with_p_zero(self):
         # expected |0>, program produces a superposition
@@ -164,3 +177,25 @@ class TestMonteCarlo:
             v = mc_statistical_test(EMPTY_1Q, x, H_CIRCUIT, 2000, 0.05,
                                     kind, 500, seed=2)
             assert not v.passed, kind
+
+
+class TestStreamContract:
+    """Per-seed counts of the statistical verdicts, pinned: each is one
+    `default_rng(seed).multinomial` draw over the outcomes at or above
+    PROB_FLOOR.  A change that moves these breaks seeded reproducibility and
+    must be recorded as a new stream version."""
+
+    def test_seeded_counts_are_pinned(self):
+        ry = Circuit(2, (GateApplication("h", (0,)),
+                         GateApplication("ry", (1,), (0.7,))))
+        probs = run_statevector(ry).probabilities()
+        assert multinomial_counts(np.array([0.5, 0.5]), 10 ** 7,
+                                  seed=0).tolist() == [5001989, 4998011]
+        assert multinomial_counts(probs, 1000, seed=1).tolist() == [434, 459, 52, 55]
+        assert multinomial_counts(np.array([0.0, 0.25, 1e-17, 0.75]), 100,
+                                  seed=2).tolist() == [0, 22, 0, 78]
+
+    def test_seeded_p_value_is_pinned(self):
+        v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 10 ** 7, 0.05,
+                             "chi2", seed=0)
+        assert v.p_value == pytest.approx(0.20840837346703991, rel=1e-9)
