@@ -236,12 +236,18 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
 
 def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]:
     """Rows of every configured test for one pair.  The original and the
-    mutant are simulated once each; sigma_11 is their fidelity, and it is
-    both the shot estimate's input and the swap and inverse laws' F."""
+    mutant are simulated once each; sigma_11 is their fidelity, the shot
+    estimate's input and the swap and inverse laws' F.  A pair that passes
+    `statevector_verdict`, or has no shot plan, gets one error row per test."""
     rows: list[ExperimentRow] = []
     original_state = run_statevector(pair.original)
     mutant_state = run_statevector(pair.mutant)
+    start = time.perf_counter()
+    verdict = statevector_verdict(mutant_state, original_state)
+    verdict_ms = int((time.perf_counter() - start) * 1000)
     try:
+        if verdict.passed:
+            raise EquivalentStatesError("states pass the statevector test")
         estimate = estimate_shots(fidelity(mutant_state, original_state),
                                   config.p_e)
     except EquivalentStatesError:
@@ -256,15 +262,10 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
 
     for test in config.tests:
         if test == "statevector":
-            start = time.perf_counter()
-            verdict = statevector_verdict(mutant_state, original_state)
-            elapsed = int((time.perf_counter() - start) * 1000)
             seed = mix_seed(config.base_seed, pair.pair_id, test, 0)
             rows.append(ExperimentRow(
-                pair.pair_id, test, 0, seed,
-                "fail" if not verdict.passed else "pass",
-                0, estimate.shots,
-                wall_time_ms=elapsed if config.record_timing else 0,
+                pair.pair_id, test, 0, seed, verdict.outcome, 0, estimate.shots,
+                wall_time_ms=verdict_ms if config.record_timing else 0,
             ))
             continue
         for rep in range(config.repetitions):

@@ -125,19 +125,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_estimate_shots(args) -> int:
-    program = _load_circuit(args.program)
-    expected = _load_expected(args.expected)
+    warnings: list[str] = []
+    program = _load_circuit(args.program, warnings)
+    expected = _load_expected(args.expected, warnings)
     try:
-        est = estimate_shots_for_pair(
-            Circuit(program.num_qubits), program, expected, p_e=args.pe
-        )
+        est = estimate_shots_for_pair(Circuit(program.num_qubits), program,
+                                      expected, p_e=args.pe)
+        detail = {"shots": est.shots, "sigma11": est.sigma11,
+                  "p_e": est.p_e, "method": est.method}
     except EquivalentStatesError as exc:
-        print(json.dumps({"equivalent": True, "message": str(exc)}))
-        return EXIT_PASS
-    print(json.dumps({
-        "shots": est.shots, "sigma11": est.sigma11,
-        "p_e": est.p_e, "method": est.method,
-    }))
+        detail = {"equivalent": True, "message": str(exc)}
+    print(json.dumps(detail | ({"warnings": warnings} if warnings else {})))
     return EXIT_PASS
 
 

@@ -13,7 +13,7 @@ from . import gates
 from .circuit import Circuit, GateApplication
 from .core import fidelity
 from .simulator import run_statevector
-from .testing import DEFAULT_TOLERANCE, statevector_verdict
+from .testing import statevector_verdict
 
 RGI_ANGLE = math.pi / 180.0
 
@@ -92,17 +92,15 @@ def mutate_rgi(c: Circuit, seed: int, count: int = 1) -> list[MutantRecord]:
 
 
 def filter_equivalent(
-    original: Circuit,
-    mutants: Iterable[MutantRecord],
-    tolerance: float = DEFAULT_TOLERANCE,
+    original: Circuit, mutants: Iterable[MutantRecord]
 ) -> list[MutantRecord]:
-    """Drop mutants whose statevector matches the original's (global-phase
-    insensitive); annotate survivors with their fidelity to the original."""
+    """Drop mutants that pass `statevector_verdict` against the original;
+    annotate survivors with their fidelity to the original."""
     original_state = run_statevector(original)
     survivors = []
     for rec in mutants:
         state = run_statevector(rec.circuit)
-        if statevector_verdict(state, original_state, tolerance).passed:
+        if statevector_verdict(state, original_state).passed:
             continue
         f = fidelity(state, original_state)
         survivors.append(replace(rec, fidelity_to_original=f))

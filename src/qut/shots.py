@@ -20,8 +20,9 @@ import numpy as np
 from .circuit import Circuit
 from .core import DensityMatrix, DimensionMismatchError, fidelity, fractional_power
 from .simulator import run_statevector
-from .testing import ExpectedSpec, expected_state
+from .testing import ExpectedSpec, expected_state, statevector_verdict
 
+# Past this sigma_11, ln sigma_11 has no significant digits: no finite plan.
 EQUIVALENT_THRESHOLD = 1.0 - 1e-15
 _GRID_POINTS = 101
 _GOLDEN_TOL = 1e-6
@@ -29,7 +30,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class EquivalentStatesError(ValueError):
-    """The two states coincide; no finite shot count separates them."""
+    """The states pass `statevector_verdict`, or sigma_11 is too near 1 to plan."""
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,8 @@ def estimate_shots(fidelity_to_zero: float, p_e: float) -> ShotEstimate:
     if not 0.0 < p_e < 1.0:
         raise ValueError("error probability must lie in (0, 1)")
     if fidelity_to_zero >= EQUIVALENT_THRESHOLD:
-        raise EquivalentStatesError(
-            "states are equivalent within 1e-15; shot planning is undefined"
-        )
+        raise EquivalentStatesError("sigma_11 is within 1e-15 of 1, so ln sigma_11 "
+                                    "has no significant digits; no shot plan")
     if fidelity_to_zero == 0.0:
         return ShotEstimate(1, 0.0, p_e, "closed_form")
     shots = max(math.ceil(math.log(p_e) / math.log(fidelity_to_zero)), 1)
@@ -125,7 +125,10 @@ def estimate_shots_for_pair(
     it is computed as the fidelity of the two n-qubit states.
     """
     psi_e = expected_state(original if expected is None else expected)
-    return estimate_shots(fidelity(run_statevector(mutant), psi_e), p_e)
+    psi_a = run_statevector(mutant)
+    if statevector_verdict(psi_a, psi_e).passed:
+        raise EquivalentStatesError("states pass the statevector test; no shot plan")
+    return estimate_shots(fidelity(psi_a, psi_e), p_e)
 
 
 def shot_curve(

@@ -8,6 +8,10 @@ inverse tests sample their per-shot outcome law, a function of the fidelity
 F = |<psi_E|psi_A>|^2 alone (`first_failure_under_law`); the harness circuits
 that realize those laws on hardware are built by `circuit.build_swap_harness`
 and `circuit.build_inverse_harness`.
+
+`statevector_verdict(actual, expected).passed` at its defaults is the one
+"same state?" predicate: the mutant filter, the shot planner, the bench and
+the swap and inverse verdicts all ask it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .simulator import (
 STAT_KINDS = ("chi2", "g_test", "multinomial")
 MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
 
-SUPPORT_FLOOR = 1e-12
 PEARSON_MIN_SHOTS = 13
 DEFAULT_TOLERANCE = 1e-10
 MULTINOMIAL_ENUM_LIMIT = 10**6
@@ -106,7 +109,7 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
 
 
 def _support(probs: np.ndarray) -> np.ndarray:
-    return probs > SUPPORT_FLOOR
+    return probs >= PROB_FLOOR  # the outcomes `multinomial_counts` can draw
 
 
 def statistical_p_value(
@@ -257,10 +260,7 @@ def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int |
     nonzero bitstring) when u >= F.
     """
     if test == "swap":
-        p_one = (1.0 - f) / 2.0
-        if p_one < PROB_FLOOR:
-            p_one = 0.0
-        return first_failing_shot(lambda draws: draws < p_one, shots, seed)
+        return first_failing_shot(lambda draws: draws < (1.0 - f) / 2.0, shots, seed)
     if test == "inverse":
         return first_failing_shot(lambda draws: draws >= f, shots, seed)
     raise ValueError(f"no per-shot law for test '{test}'")
@@ -270,11 +270,11 @@ def _law_verdict(
     test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
     _check_shots(shots)
-    f = fidelity(run_statevector(compose(w, u)), expected_state(expected))
-    first = first_failure_under_law(test, f, shots, seed)
-    if first is None:
+    actual, target = run_statevector(compose(w, u)), expected_state(expected)
+    if statevector_verdict(actual, target).passed:
         return TestVerdict("pass")
-    return TestVerdict("fail", first_failure_shot=first)
+    first = first_failure_under_law(test, fidelity(actual, target), shots, seed)
+    return TestVerdict("pass" if first is None else "fail", first_failure_shot=first)
 
 
 def swap_test(

@@ -259,6 +259,20 @@ class TestRunBenchmark:
         rows = bench.run_benchmark(bench.load_corpus(manifest), cfg)
         assert rows and all(r.verdict == "error" for r in rows)
 
+    def test_pairs_passing_the_statevector_test_are_errors(self):
+        # one error row per test, whatever sigma_11 rounds to: h against
+        # h; z; z, and a circuit whose overlap with itself is 1 - 1.1e-15
+        pairs = []
+        for i, c in enumerate((Circuit(1, (GateApplication("h", (0,)),)),
+                               random_circuit(4, 10, seed=39))):
+            zz = c.appended(GateApplication("z", (0,))).appended(
+                GateApplication("z", (0,)))
+            pairs.append(bench.CorpusPair(f"eq{i}", c, zz))
+        cfg = bench.ExperimentConfig(repetitions=2)
+        rows = bench.run_benchmark(pairs, cfg)
+        assert [(r.pair_id, r.test, r.verdict) for r in rows] == [
+            (p.pair_id, t, "error") for p in pairs for t in sorted(cfg.tests)]
+
 
 class TestMetrics:
     def test_recall_arithmetic(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qut.circuit import Circuit, GateApplication
+from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.cli import main
 from qut.qasm import emit_qasm, parse_qasm
 
@@ -175,6 +175,28 @@ class TestSubcommands:
                        "--expected", files["bell"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["shots"] >= 1 and 0 <= out["sigma11"] < 1
+
+    def test_estimate_shots_refuses_a_self_pair(self, tmp_path, capsys):
+        # its overlap with itself rounds to 0.9999999999999989
+        prog = tmp_path / "r.qasm"
+        prog.write_text(emit_qasm(random_circuit(4, 10, seed=39)))
+        assert run_cli("estimate-shots", "--program", str(prog),
+                       "--expected", str(prog)) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+    def test_estimate_shots_reports_parser_warnings(self, files, tmp_path,
+                                                    capsys):
+        measured = tmp_path / "measured.qasm"
+        measured.write_text(open(files["broken"]).read()
+                            + "creg c[2];\nmeasure q[0] -> c[0];\n")
+        for argv in (("estimate-shots",), ("run", "--test", "statevector")):
+            assert run_cli(*argv, "--program", str(measured),
+                           "--expected", files["bell"]) in (0, 1)
+            out = json.loads(capsys.readouterr().out)
+            assert [w for w in out["warnings"] if "measurement stripped" in w]
+        assert run_cli("estimate-shots", "--program", files["broken"],
+                       "--expected", files["bell"]) == 0
+        assert "warnings" not in json.loads(capsys.readouterr().out)
 
     def test_statevector_expected_json(self, files, tmp_path, capsys):
         vec = tmp_path / "target.json"

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.mutation import (
     RGI_ANGLE,
+    MutantRecord,
     filter_equivalent,
     mutate_qgd,
     mutate_qgi,
@@ -14,7 +17,9 @@ from qut.mutation import (
     sample_mutants,
 )
 from qut.core import StateVector, fidelity
+from qut.shots import EquivalentStatesError, estimate_shots_for_pair
 from qut.simulator import run_statevector
+from qut.testing import inverse_test, swap_test
 
 
 def single(kind, *targets, params=()):
@@ -118,13 +123,11 @@ class TestFilterEquivalent:
         original = single("z", 0)
         mutant = Circuit(1, (GateApplication("s", (0,)),
                              GateApplication("s", (0,))))
-        from qut.mutation import MutantRecord
         recs = filter_equivalent(original,
                                  [MutantRecord("QGR", 0, "s", mutant)])
         assert recs == []
 
     def test_x_vs_h_retained(self):
-        from qut.mutation import MutantRecord
         recs = filter_equivalent(single("h", 0),
                                  [MutantRecord("QGR", 0, "x", single("x", 0))])
         assert len(recs) == 1
@@ -134,6 +137,36 @@ class TestFilterEquivalent:
             c = random_circuit(3, 3, seed=seed)
             recs = filter_equivalent(c, mutate_qgi(c) + mutate_qgd(c))
             assert all(r.fidelity_to_original < 1 - 1e-10 for r in recs)
+
+
+class TestOnePredicate:
+    """The mutant filter, the shot planner and the swap and inverse verdicts
+    agree on which states are the same: a mutant the filter drops gets no
+    shot plan, and swap and inverse pass it without drawing a shot."""
+
+    @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_dropped_mutants_are_equivalent_everywhere(self, n, depth, seed):
+        c = random_circuit(n, depth, seed=seed)
+        q = seed % n
+        # the self-pair and three identities appended on qubit q, which the
+        # filter always drops, besides whichever gate deletions it drops
+        tails = [(), ("z", "z"), ("h", "h"), ("s", "s", "z")]
+        mutants = mutate_qgd(c) + [
+            MutantRecord("QGI", len(c.gates), None, Circuit(
+                n, c.gates + tuple(GateApplication(k, (q,)) for k in tail)))
+            for tail in tails
+        ]
+        kept = {r.circuit.gates for r in filter_equivalent(c, mutants)}
+        dropped = [r.circuit for r in mutants if r.circuit.gates not in kept]
+        assert len(dropped) >= len(tails)
+        with mock.patch("qut.testing.first_failing_shot",
+                        side_effect=AssertionError("drew a shot")):
+            for mutant in dropped:
+                with pytest.raises(EquivalentStatesError):
+                    estimate_shots_for_pair(c, mutant)
+                for test in (swap_test, inverse_test):
+                    assert test(Circuit(n), mutant, c, 10 ** 7, seed).passed
 
 
 class TestSampleMutants:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.core import StateVector, fidelity, random_statevector
@@ -13,6 +14,8 @@ from qut.testing import inverse_test, statevector_test, swap_test
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 X_CIRCUIT = Circuit(1, (GateApplication("x", (0,)),))
 EMPTY_1Q = Circuit(1)
+# Just outside the same-state predicate: 1 - F = sin^2(asin(1e-3)) = 1e-6.
+NEAR_1Q = Circuit(1, (GateApplication("ry", (0,), (2 * math.asin(1e-3),)),))
 
 
 class TestSwapTest:
@@ -28,6 +31,17 @@ class TestSwapTest:
             for s in range(200)
         )
         assert fails >= 190
+        # a pair with 1 - F = 1e-6 still draws its shots: a verdict at 2e6
+        # shots fails with chance 1 - (1 - (1 - F)/2)^shots, about 0.63, and
+        # the failures over 100 seeds lie within that binomial's 1e-6 tails
+        shots, seeds = 2 * 10 ** 6, 100
+        p_one = (1.0 - fidelity(run_statevector(NEAR_1Q), StateVector.zero(1))) / 2
+        alarms = stats.binom(seeds, -math.expm1(shots * math.log1p(-p_one)))
+        fails = sum(
+            not swap_test(EMPTY_1Q, NEAR_1Q, EMPTY_1Q, shots, seed=s).passed
+            for s in range(seeds)
+        )
+        assert alarms.ppf(1e-6) <= fails <= alarms.isf(1e-6)
 
     def test_failure_records_first_shot(self):
         v = swap_test(EMPTY_1Q, X_CIRCUIT, EMPTY_1Q, 100, seed=1)
@@ -39,15 +53,20 @@ class TestSwapTest:
         assert v.passed
 
     def test_memory_bounded_at_1e8_shots(self):
-        # the per-shot law is sampled in chunks, never as one 1e8-draw array
-        tracemalloc.start()
-        try:
-            v = swap_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 10 ** 8, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert v.passed
-        assert peak < 16 * 2 ** 20
+        # the per-shot law is sampled in chunks, never as one 1e8-draw array.
+        # h passes the same-state predicate and draws nothing; h; rz(2e-9)
+        # deviates by 1.4e-9, so it draws, but its F rounds to 1 and every
+        # one of the 1e8 shots passes
+        near = H_CIRCUIT.appended(GateApplication("rz", (0,), (2e-9,)))
+        for program in (H_CIRCUIT, near):
+            tracemalloc.start()
+            try:
+                v = swap_test(EMPTY_1Q, program, H_CIRCUIT, 10 ** 8, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert v.passed
+            assert peak < 16 * 2 ** 20
 
     def test_no_false_positives_on_random_equivalent_pairs(self):
         for seed in range(100):

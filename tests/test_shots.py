@@ -137,6 +137,15 @@ class TestEstimateForPair:
         with pytest.raises(EquivalentStatesError):
             estimate_shots_for_pair(c, c)
 
+    def test_self_pairs_get_no_plan(self):
+        # rounding leaves a circuit's overlap with itself a few ulps below 1
+        # (0.9999999999999989 for random_circuit(4, 10, seed=39)), under the
+        # 1 - 1e-15 limit; the statevector predicate still refuses the pair
+        for s in range(400):
+            c = random_circuit(1 + s % 4, 1 + s % 10, seed=s)
+            with pytest.raises(EquivalentStatesError):
+                estimate_shots_for_pair(c, c)
+
     def test_statevector_expectation_needs_no_synthesis(self, monkeypatch):
         # sigma_11 is the overlap of the two n-qubit states, so planning
         # against a StateVector synthesizes no preparation of it

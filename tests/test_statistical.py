@@ -105,6 +105,39 @@ class TestStatisticalTest:
             fails += not v.passed
         assert alarms.ppf(1e-6) <= fails <= alarms.isf(1e-6)
 
+    def test_outcome_the_sampler_draws_is_in_the_support(self):
+        # ry(2 asin(sqrt(1e-13))) against itself at 10^14 shots: the sampler
+        # draws the 1e-13 outcome about ten times, so the p-value's support
+        # must hold it.  Its count X is Binomial(shots, p1), and chi2 or g
+        # alarms with chance a = P(X in the counts scipy rejects); an MC
+        # p-value alarms with chance at most p_t.  The alarms over 20 seeds
+        # must lie within Binomial(20, a)'s 1e-6 tails.
+        theta = 2 * math.asin(math.sqrt(1e-13))
+        ry = Circuit(1, (GateApplication("ry", (0,), (theta,)),))
+        probs = run_statevector(ry).probabilities()
+        shots, seeds = 10 ** 14, 20
+        x = np.arange(100)
+        pmf = stats.binom.pmf(x, shots, probs[1])
+        expected = shots * probs
+        scipy_p = {
+            "chi2": [stats.chisquare([shots - k, k], expected)[1] for k in x],
+            "g_test": [stats.power_divergence([shots - k, k], expected,
+                                              lambda_="log-likelihood")[1]
+                       for k in x],
+        }
+        for kind in ("chi2", "g_test", "mc_chi2"):
+            if kind in MC_KINDS:
+                a = 0.05
+                run = lambda seed: mc_statistical_test(
+                    EMPTY_1Q, ry, ry, shots, 0.05, kind, 1000, seed=seed)
+            else:
+                a = pmf[np.array(scipy_p[kind]) < 0.05].sum()
+                run = lambda seed: statistical_test(
+                    EMPTY_1Q, ry, ry, shots, 0.05, kind, seed=seed)
+            alarms = stats.binom(seeds, a)
+            fails = sum(not run(seed).passed for seed in range(seeds))
+            assert alarms.ppf(1e-6) <= fails <= alarms.isf(1e-6), (kind, fails)
+
     def test_impossible_outcome_fails_with_p_zero(self):
         # expected |0>, program produces a superposition
         v = statistical_test(EMPTY_1Q, H_CIRCUIT, EMPTY_1Q, 200, 0.05,
