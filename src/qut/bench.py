@@ -10,6 +10,7 @@ same scheme reproduces the measurement streams exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -78,6 +79,20 @@ def _p_value_at(
     return mc_p_value(prefix_counts, probs, kind, mc_reps, rng)
 
 
+# A scan block holds at most this many (prefix, outcome) counts, so the
+# search's memory is O(block x K) whatever the cap; the first block has
+# _FIRST_BLOCK_ROWS prefixes and each later one twice as many.
+_SCAN_BLOCK_ELEMENTS = 1 << 18
+_FIRST_BLOCK_ROWS = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _critical_statistic(p_threshold: float, dof: int) -> float:
+    """A statistic just below chi2.isf(p_t, dof).  Every statistic whose sf
+    is below p_t exceeds it, as long as isf is accurate to the 1e-9 margin."""
+    return float(stats.chi2.isf(p_threshold, dof)) * (1.0 - 1e-9)
+
+
 def _first_crossing_asymptotic(
     stream_values: np.ndarray,
     probs: np.ndarray,
@@ -85,10 +100,12 @@ def _first_crossing_asymptotic(
     p_threshold: float,
     upto: int,
 ) -> int | None:
-    """Smallest s in [1, upto] with asymptotic p-value < p_t, fully vectorized.
+    """Smallest s in [1, upto] with asymptotic p-value < p_t.
 
-    Only for the chi2 / g_test kinds whose statistics admit a cumulative
-    prefix formulation.
+    Only for the chi2 / g_test kinds, whose statistics admit a cumulative
+    prefix formulation.  Prefixes are scanned in blocks of growing length,
+    stopping at the first crossing.  A prefix whose statistic exceeds
+    `_critical_statistic` is a candidate, and `chi2.sf` decides it.
     """
     support = _support(probs)
     values = stream_values[:upto]
@@ -101,22 +118,34 @@ def _first_crossing_asymptotic(
         # remap in-support basis states to compact category indices
         remap = np.cumsum(support) - 1
         cats = remap[values[:limit]]
-        one_hot = np.zeros((limit, k))
-        one_hot[np.arange(limit), cats] = 1.0
-        counts = np.cumsum(one_hot, axis=0)
-        s = np.arange(1, limit + 1, dtype=float)[:, None]
         p_sup = probs[support] / probs[support].sum()
-        expected = s * p_sup[None, :]
-        if kind == "chi2":
-            stat = ((counts - expected) ** 2 / expected).sum(axis=1)
-        else:
-            ratio = np.divide(counts, expected,
-                              out=np.ones_like(counts), where=counts > 0)
-            stat = 2.0 * (counts * np.log(ratio)).sum(axis=1)
-        p_vals = stats.chi2.sf(stat, k - 1)
-        below = np.flatnonzero(p_vals < p_threshold)
-        if below.size and int(below[0]) + 1 < horizon:
-            return int(below[0]) + 1
+        crit = _critical_statistic(p_threshold, k - 1)
+        max_rows = max(1, _SCAN_BLOCK_ELEMENTS // k)
+        carried = np.zeros(k)
+        start, rows = 0, _FIRST_BLOCK_ROWS
+        while start < limit:
+            stop = min(limit, start + min(rows, max_rows))
+            one_hot = np.zeros((stop - start, k))
+            one_hot[np.arange(stop - start), cats[start:stop]] = 1.0
+            # integer counts held exactly in floats: the same values as one
+            # cumsum over the whole stream
+            counts = np.cumsum(one_hot, axis=0) + carried
+            s = np.arange(start + 1, stop + 1, dtype=float)[:, None]
+            expected = s * p_sup[None, :]
+            if kind == "chi2":
+                stat = ((counts - expected) ** 2 / expected).sum(axis=1)
+            else:
+                ratio = np.divide(counts, expected,
+                                  out=np.ones_like(counts), where=counts > 0)
+                stat = 2.0 * (counts * np.log(ratio)).sum(axis=1)
+            candidates = np.flatnonzero(stat > crit)
+            if candidates.size:
+                p_vals = stats.chi2.sf(stat[candidates], k - 1)
+                below = candidates[p_vals < p_threshold]
+                if below.size:
+                    return start + int(below[0]) + 1
+            carried = counts[-1]
+            start, rows = stop, 2 * rows
     if horizon <= upto:
         return horizon
     return None
@@ -134,22 +163,23 @@ def min_shots_statistical(
     """Minimal prefix length S <= cap of the realized stream with p-value < p_t.
 
     The p-value is not monotone in S, so the answer is decided by scanning
-    every prefix in order: in one vectorized pass for the asymptotic kinds,
-    and one p-value per prefix up to the first crossing for the others.
-    Returns None (NotDetected) if no S <= cap works.
+    the prefixes in order up to the first crossing: in blocks of prefixes for
+    the asymptotic kinds, and one p-value per prefix for the others, whose
+    counts grow by one shot at a time.  Returns None (NotDetected) if no
+    S <= cap works.
     """
     cap = min(cap, len(stream_values))
     if kind in ("chi2", "g_test"):
         return _first_crossing_asymptotic(
             stream_values, expected_probs, kind, p_threshold, cap
         )
-    dim = len(expected_probs)
-    return next(
-        (s for s in range(1, cap + 1)
-         if _p_value_at(np.bincount(stream_values[:s], minlength=dim),
-                        expected_probs, kind, mc_reps, seed, s) < p_threshold),
-        None,
-    )
+    counts = np.zeros(len(expected_probs), dtype=np.int64)
+    for s, value in enumerate(stream_values[:cap], start=1):
+        counts[value] += 1
+        if _p_value_at(counts, expected_probs, kind, mc_reps, seed,
+                       s) < p_threshold:
+            return s
+    return None
 
 
 @dataclass(frozen=True)

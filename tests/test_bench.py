@@ -2,14 +2,16 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qut import bench, mutation, simulator
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import emit_qasm
-from qut.simulator import sample_from_probs
+from qut.simulator import run_statevector, sample_from_probs
 from qut.testing import (
     first_failure_under_law,
     inverse_test,
@@ -64,6 +66,13 @@ class TestFirstFailureShot:
             assert first_failure_under_law(test, 1.0, 10 ** 5, seed=0) is None
 
 
+def _ry_layer_probs(angles):
+    """Output distribution of one ry gate per qubit, at the given angles."""
+    return run_statevector(Circuit(len(angles), tuple(
+        GateApplication("ry", (q,), (a,)) for q, a in enumerate(angles)
+    ))).probabilities()
+
+
 class TestMinShots:
     def _naive(self, vals, probs, kind, p_t, cap, seed, mc_reps=200):
         k = len(probs)
@@ -87,6 +96,133 @@ class TestMinShots:
                     vals, probs, kind, 0.05, cap, seed=seed, mc_reps=200)
                 slow = self._naive(vals, probs, kind, 0.05, cap, seed)
                 assert fast == slow, (trial, kind)
+
+    def test_mc_and_exact_kinds_match_naive_scan(self):
+        # the counts grow one shot at a time; each prefix sees the same
+        # counts and the same per-prefix Monte Carlo seed as a bincount
+        rng = np.random.default_rng(1)
+        found = set()
+        for trial in range(6):
+            k = 2 ** int(rng.integers(1, 3))
+            probs = rng.dirichlet(np.ones(k))
+            mutant_probs = probs if trial % 2 else rng.dirichlet(np.ones(k))
+            seed = int(rng.integers(1 << 32))
+            for kind, cap in (("mc_g", 128), ("multinomial", 24 // k)):
+                vals = sample_from_probs(mutant_probs, cap, seed)
+                fast = bench.min_shots_statistical(
+                    vals, probs, kind, 0.05, cap, seed=seed, mc_reps=200)
+                assert fast == self._naive(vals, probs, kind, 0.05, cap,
+                                           seed), (trial, kind)
+                found.add((kind, fast is None))
+        assert len(found) == 4  # each kind both crosses and does not
+
+    @staticmethod
+    def _crossing_stream(target, kind, probs):
+        """A balanced stream, then outcome 1 only, and a p_t between the
+        p-values of prefixes target - 1 and target: the statistic grows
+        along the run of 1s, so the first crossing is at `target`."""
+        m = target - 40
+        vals = np.r_[np.arange(m) % 2, np.ones(100, dtype=np.int64)]
+        p_before, p_at = (
+            statistical_p_value(np.bincount(vals[:s], minlength=len(probs)),
+                                probs, kind)
+            for s in (target - 1, target))
+        return vals, math.sqrt(p_before * p_at)
+
+    def test_crossing_at_block_edges(self):
+        # the last prefix of a block and the first of the next, for the
+        # first block and the second
+        first = bench._FIRST_BLOCK_ROWS
+        probs = np.array([0.5, 0.5])
+        for target in (first, first + 1, 3 * first, 3 * first + 1):
+            for kind in ("chi2", "g_test"):
+                vals, p_t = self._crossing_stream(target, kind, probs)
+                cap = len(vals)
+                assert self._naive(vals, probs, kind, p_t, cap, 0) == target
+                assert bench.min_shots_statistical(
+                    vals, probs, kind, p_t, cap) == target, (target, kind)
+
+    def test_dense_pair_over_element_capped_blocks(self, monkeypatch):
+        # 6 qubits, 64 outcomes: with 16 rows per block every block is
+        # capped by its element count, and the counts carry across up to
+        # 125 blocks
+        monkeypatch.setattr(bench, "_SCAN_BLOCK_ELEMENTS", 64 * 16)
+
+        def layer(angle):
+            return _ry_layer_probs([angle + 0.05 * q for q in range(6)])
+
+        expected = layer(1.3)
+        cap = 2000
+        found = []
+        for mutant in (layer(1.4), expected):
+            vals = sample_from_probs(mutant, cap, seed=4)
+            for kind in ("chi2", "g_test"):
+                for p_t in (0.05, 1e-3):
+                    fast = bench.min_shots_statistical(vals, expected, kind,
+                                                       p_t, cap)
+                    assert fast == self._naive(vals, expected, kind, p_t,
+                                               cap, 0), (kind, p_t)
+                    found.append(fast)
+        assert None in found and max(f or 0 for f in found) > 6 * 16
+
+    def test_out_of_support_sample_before_and_after_the_crossing(self):
+        # the first out-of-support sample is a crossing with p = 0
+        probs = np.array([0.5, 0.5, 0.0, 0.0])
+        for kind in ("chi2", "g_test"):
+            base, p_t = self._crossing_stream(300, kind, probs)
+            for position, want in ((120, 120), (300, 300), (301, 300),
+                                   (330, 300)):
+                vals = base.copy()
+                vals[position - 1] = 2
+                cap = len(vals)
+                assert self._naive(vals, probs, kind, p_t, cap, 0) == want
+                assert bench.min_shots_statistical(
+                    vals, probs, kind, p_t, cap) == want, (kind, position)
+
+    def test_single_outcome_support(self):
+        # K = 1: every in-support prefix has p = 1, so only an
+        # out-of-support sample crosses
+        probs = np.array([1.0, 0.0, 0.0, 0.0])
+        inside = np.zeros(600, dtype=np.int64)
+        outside_at_401 = inside.copy()
+        outside_at_401[400] = 3
+        for kind in ("chi2", "g_test"):
+            for vals, want in ((inside, None), (outside_at_401, 401)):
+                assert self._naive(vals, probs, kind, 0.05, 600, 0) == want
+                assert bench.min_shots_statistical(
+                    vals, probs, kind, 0.05, 600) == want, kind
+
+    def test_critical_value_margin(self):
+        # a statistic at or below the critical value must have sf > p_t,
+        # for every dof of a support of up to 12 qubits; the smallest
+        # relative gap is about 2.3e-9, at p = 0.05
+        dof = np.arange(1, 4096)
+        for p in (0.05, 0.01, 1e-3, 1e-6):
+            crit = stats.chi2.isf(p, dof) * (1.0 - 1e-9)
+            assert np.all(stats.chi2.sf(crit, dof) > p), p
+            assert bench._critical_statistic(p, 7) == crit[6]
+
+    def test_scan_memory_bounded_on_a_dense_10_qubit_pair(self):
+        # O(block x K) counts, not O(cap x K): a full (10^4 x 1024) cumsum
+        # alone is 78 MiB
+        def layer(angle):
+            return _ry_layer_probs([angle] * 10)
+
+        expected = layer(math.pi / 2)
+        cap = 10 ** 4
+        early = sample_from_probs(layer(1.2), cap, seed=3)
+        never = sample_from_probs(layer(math.pi / 2 + 0.01), cap, seed=3)
+        for kind in ("chi2", "g_test"):
+            for vals, crosses in ((early, True), (never, False)):
+                tracemalloc.start()
+                try:
+                    found = bench.min_shots_statistical(vals, expected, kind,
+                                                        1e-6, cap)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert (found is not None) == crosses, (kind, found)
+                assert peak < 32 * 2 ** 20, (kind, crosses, peak)
 
     def test_orthogonal_pair_small(self):
         probs = np.array([1.0, 0.0])
