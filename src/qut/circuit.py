@@ -184,13 +184,11 @@ def build_inverse_harness(w: Circuit, u: Circuit, expected) -> Circuit:
     """
     from .synth import synthesize_state_prep
 
-    if isinstance(expected, StateVector):
-        prep = synthesize_state_prep(expected)
-    else:
-        prep = expected
-    if prep.num_qubits != u.num_qubits or w.num_qubits != u.num_qubits:
+    if expected.num_qubits != u.num_qubits or w.num_qubits != u.num_qubits:
         raise ValueError("inverse harness requires equal qubit counts")
-    return compose(w, u, invert_circuit(prep), name="inverse_harness")
+    if isinstance(expected, StateVector):
+        expected = synthesize_state_prep(expected)
+    return compose(w, u, invert_circuit(expected), name="inverse_harness")
 
 
 # Random-generator catalog: named gates only, grouped by arity.

@@ -1,16 +1,22 @@
 """State-preparation synthesis via recursive disentangling.
 
-The disentangling direction maps the target state to |0...0> with multiplexed
-rz/ry rotations on successive qubits; the emitted circuit is its inverse.
-Cost is O(2^n) gates for dense vectors.  The result matches the target up to
-one global phase, which is returned alongside the circuit when needed.
+The disentangling direction maps the target state to |0...0> with uniformly
+controlled rz/ry rotations on successive qubits; the emitted circuit is its
+inverse.  A rotation with k controls costs 2^k rotations and 2^k cx
+(Mottonen, Vartiainen, Bergholm & Salomaa, "Transformation of quantum states
+using uniformly controlled rotations", QIC 5, 2005; Shende, Bullock & Markov,
+"Synthesis of quantum-logic circuits", IEEE TCAD 25, 2006), so a dense
+n-qubit state takes exactly 2(2^n - 1) rotations and 2^(n+1) - 4 cx: 16,378
+gates, 8,188 of them cx, at 12 qubits.  Zero rotations are dropped, so a
+sparse state takes fewer.  The result matches the target up to one global
+phase.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, GateApplication, invert_circuit
+from .circuit import Circuit, GateApplication
 from .core import StateVector
 
 _ANGLE_EPS = 1e-14
@@ -31,15 +37,23 @@ def _bloch_angles(pair: np.ndarray) -> tuple[complex, float, float]:
 
 
 def _multiplexed_rotation(
-    kind: str, angles: list[float], controls: list[int], target: int
+    kind: str, angles: list[float], controls: list[int], target: int,
+    closed: bool = True,
 ) -> list[GateApplication]:
-    """Uniformly controlled rx-free rotation (ry or rz), decomposed with cx.
+    """Uniformly controlled ry or rz on `target`: angles[i] when the controls
+    read i (controls[-1] the most significant bit), with 2^k cx for k controls.
 
-    Uses the standard sum/difference recursion; correctness relies on
-    X R(theta) X = R(-theta) for both ry and rz.
+    Mirrored sum/difference recursion: the plus half, cx(top, target), the
+    minus half in reverse, cx(top, target).  Reversing a whole multiplexor
+    leaves it unchanged (X R(theta) X = R(-theta), and every control flips
+    the target an even number of times), and the halves' final cx, which
+    would meet around cx(top, target), cancel because cx gates on one target
+    commute; so each half is emitted open.  `closed=False` drops the final cx.
     """
     if all(abs(a) < _ANGLE_EPS for a in angles):
-        return []
+        if closed or not controls:
+            return []
+        return [GateApplication("cx", (controls[-1], target))]  # an open identity
     if not controls:
         return [GateApplication(kind, (target,), (angles[0],))]
     half = len(angles) // 2
@@ -48,17 +62,20 @@ def _multiplexed_rotation(
     minus = [(a - b) / 2 for a, b in zip(low, high)]
     top = controls[-1]
     inner = controls[:-1]
-    out = _multiplexed_rotation(kind, plus, inner, target)
+    out = _multiplexed_rotation(kind, plus, inner, target, closed=False)
     out.append(GateApplication("cx", (top, target)))
-    out += _multiplexed_rotation(kind, minus, inner, target)
-    out.append(GateApplication("cx", (top, target)))
+    out += reversed(_multiplexed_rotation(kind, minus, inner, target, closed=False))
+    if closed:
+        out.append(GateApplication("cx", (top, target)))
     return out
 
 
-def disentangling_circuit(target: StateVector) -> tuple[Circuit, float]:
-    """Circuit mapping `target` to |0...0>, plus the residual global phase.
+def synthesize_state_prep(target: StateVector) -> Circuit:
+    """Circuit preparing `target` from |0...0>, exact up to a global phase.
 
-    Applying the returned circuit to `target` yields e^{i phase}|0...0>.
+    The disentangler, which maps `target` to e^{i phase}|0...0>, applies
+    rz(-phi) and ry(-theta) multiplexors; its adjoint, emitted here, is the
+    same gates with the angles not negated, in reverse order.
     """
     n = target.num_qubits
     vec = target.amplitudes.copy()
@@ -71,15 +88,7 @@ def disentangling_circuit(target: StateVector) -> tuple[Circuit, float]:
         for i, pair in enumerate(pairs):
             reduced[i], thetas[i], phis[i] = _bloch_angles(pair)
         controls = list(range(q + 1, n))
-        ops += _multiplexed_rotation("rz", list(-phis), controls, q)
-        ops += _multiplexed_rotation("ry", list(-thetas), controls, q)
+        ops += _multiplexed_rotation("rz", list(phis), controls, q)
+        ops += _multiplexed_rotation("ry", list(thetas), controls, q)
         vec = reduced
-    phase = float(np.angle(vec[0]))
-    return Circuit(n, tuple(ops), "disentangle"), phase
-
-
-def synthesize_state_prep(target: StateVector) -> Circuit:
-    """Circuit preparing `target` from |0...0>, exact up to a global phase."""
-    uncompute, _ = disentangling_circuit(target)
-    prep = invert_circuit(uncompute)
-    return Circuit(prep.num_qubits, prep.gates, "state_prep")
+    return Circuit(n, tuple(reversed(ops)), "state_prep")

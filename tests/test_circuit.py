@@ -150,6 +150,20 @@ class TestInverseHarness:
         probs = run_statevector(h).probabilities()
         assert probs[1] > 0
 
+    def test_mismatched_width_rejected_before_synthesis(self, monkeypatch):
+        import qut.synth
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state preparation was synthesized")
+
+        monkeypatch.setattr(qut.synth, "synthesize_state_prep", refuse)
+        with pytest.raises(ValueError):
+            build_inverse_harness(Circuit(2), Circuit(2), StateVector.zero(3))
+        with pytest.raises(ValueError):
+            build_inverse_harness(Circuit(3), Circuit(2), StateVector.zero(2))
+        with pytest.raises(ValueError):
+            build_inverse_harness(Circuit(2), Circuit(2), Circuit(3))
+
 
 class TestRandomCircuit:
     def test_deterministic(self):
