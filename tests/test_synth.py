@@ -58,6 +58,13 @@ def test_random_states_all_widths():
             _assert_prepares(c, target)
 
 
+def test_relative_phases_preserved():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        target = random_statevector(3, rng)
+        _assert_prepares(synthesize_state_prep(target), target)
+
+
 def _sparse_states():
     for n in range(1, 5):
         for k in range(2**n):
