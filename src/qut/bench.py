@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .circuit import Circuit
 from .qasm import parse_qasm
@@ -90,6 +89,8 @@ _FIRST_BLOCK_ROWS = 256
 def _critical_statistic(p_threshold: float, dof: int) -> float:
     """A statistic just below chi2.isf(p_t, dof).  Every statistic whose sf
     is below p_t exceeds it, as long as isf is accurate to the 1e-9 margin."""
+    from scipy import stats
+
     return float(stats.chi2.isf(p_threshold, dof)) * (1.0 - 1e-9)
 
 
@@ -107,6 +108,8 @@ def _first_crossing_asymptotic(
     stopping at the first crossing.  A prefix whose statistic exceeds
     `_critical_statistic` is a candidate, and `chi2.sf` decides it.
     """
+    from scipy import stats
+
     support = _support(probs)
     values = stream_values[:upto]
     outside = np.flatnonzero(~support[values])

@@ -118,6 +118,8 @@ def _cmd_run(args) -> int:
         "p_value": verdict.p_value,
         "first_failure_shot": verdict.first_failure_shot,
         "max_amplitude_deviation": verdict.max_amplitude_deviation,
+        "fidelity": verdict.fidelity,
+        "failure_probability": verdict.failure_probability,
         "warnings": warnings + list(verdict.warnings),
     }
     print(json.dumps({k: v for k, v in detail.items() if v not in (None, [])}))

@@ -7,16 +7,14 @@ it:
 - `multinomial_counts`: the statistical verdicts' histogram, one multinomial
   draw of the shot count over the output distribution, so its cost grows with
   the number of outcomes and not with the shot count.
-- `first_failing_shot`: the swap and inverse laws (a shot fails or not), a
-  stream of uniform draws read in fixed-size chunks (`_uniform_chunks`), so
-  memory does not grow with the shot count.
+- `first_failing_shot`: the swap and inverse laws, where every shot fails
+  independently with one probability q, so the first failing shot is
+  Geometric(q): one draw, whatever the shot count.
 - `sample_from_probs`: a realized sequence of basis indices by inverse-CDF,
   for callers that read its prefixes (the bench's min-shot search).
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,8 +26,6 @@ PROB_FLOOR = 1e-16
 MAX_QUBITS = 24
 # Largest shot count the samplers hold: numpy draws counts as int64.
 MAX_SHOTS = 2 ** 63 - 1
-# Uniform draws held at once by `_uniform_chunks`: 512 KiB of doubles.
-_DRAW_CHUNK = 1 << 16
 
 
 def run_statevector(c: Circuit) -> StateVector:
@@ -57,14 +53,6 @@ def sample_from_probs(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def _uniform_chunks(shots: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, draws) pairs that together are the stream of
-    `default_rng(seed).random(shots)`, at most _DRAW_CHUNK draws at a time."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, shots, _DRAW_CHUNK):
-        yield start, rng.random(min(_DRAW_CHUNK, shots - start))
-
-
 def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts per basis state of `shots` seeded measurements of `probs`.
 
@@ -79,16 +67,17 @@ def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts
 
 
-def first_failing_shot(
-    fails: Callable[[np.ndarray], np.ndarray], shots: int, seed: int
-) -> int | None:
-    """1-based index of the first of `shots` seeded uniform draws in [0, 1)
-    for which `fails` holds, or None; the draws are `_uniform_chunks`'."""
-    for start, draws in _uniform_chunks(shots, seed):
-        hit = np.flatnonzero(fails(draws))
-        if hit.size:
-            return start + int(hit[0]) + 1
-    return None
+def first_failing_shot(q: float, shots: int, seed: int) -> int | None:
+    """1-based index of the first failing shot of `shots`, each failing
+    independently with probability q, or None if none fails.
+
+    One `default_rng(seed).geometric(q)` draw; nothing is drawn for q <= 0.
+    numpy clamps the draw to 2^63 - 1, so it never overflows.
+    """
+    if q <= 0.0:
+        return None
+    k = np.random.default_rng(seed).geometric(q)
+    return int(k) if k <= shots else None
 
 
 def marginal_probability_one(state: StateVector, qubit: int) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy import stats
 
 from .circuit import Circuit, compose
 from .core import StateVector, check_same_width, fidelity, global_phase_aligned
@@ -54,6 +53,10 @@ class TestVerdict:
     first_failure_shot: int | None = None
     max_amplitude_deviation: float | None = None
     warnings: tuple[str, ...] = ()
+    # swap and inverse only: F, and the per-shot failure probability drawn
+    # from (0.0 when the states pass the "same state?" predicate)
+    fidelity: float | None = None
+    failure_probability: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -81,6 +84,8 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
     Enumerates every composition of S into k categories; guarded by
     MULTINOMIAL_ENUM_LIMIT.
     """
+    from scipy import stats
+
     k = len(probs)
     shots = int(observed.sum())
     if comb(shots + k - 1, k - 1) > MULTINOMIAL_ENUM_LIMIT:
@@ -121,6 +126,8 @@ def statistical_p_value(
     expected support short-circuit to p = 0; a single-category support with
     all mass observed inside it yields p = 1.
     """
+    from scipy import stats
+
     support = _support(probs)
     shots = int(counts.sum())
     if counts[~support].sum() > 0:
@@ -189,6 +196,8 @@ def _discrepancy_scores(
     synthetic: np.ndarray, expected_counts: np.ndarray, probs: np.ndarray, kind: str
 ) -> np.ndarray:
     """Per-row score for MC comparison; lower = more extreme."""
+    from scipy import stats
+
     if kind == "mc_chi2":
         stat = ((synthetic - expected_counts) ** 2 / expected_counts).sum(axis=1)
         return stats.chi2.sf(stat, len(probs) - 1)
@@ -252,18 +261,25 @@ def mc_statistical_test(
     return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p)
 
 
+def failure_probability(test: str, f: float) -> float:
+    """Per-shot failure probability q of the swap or inverse test at
+    fidelity F: (1 - F)/2 that the swap ancilla reads 1, and 1 - F that
+    W.U.Z measures a nonzero bitstring."""
+    if test == "swap":
+        return (1.0 - f) / 2.0
+    if test == "inverse":
+        return 1.0 - f
+    raise ValueError(f"no per-shot law for test '{test}'")
+
+
 def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int | None:
     """First failing shot of the swap or inverse test at fidelity F, or None.
 
-    Each shot is one seeded uniform draw u.  A swap shot fails (the ancilla
-    reads 1) when u < (1 - F)/2; an inverse shot fails (W.U.Z measures a
-    nonzero bitstring) when u >= F.
+    Shots fail independently with probability q = `failure_probability`, so
+    the first failure is one seeded Geometric(q) draw (`first_failing_shot`),
+    None when it lies past `shots`; nothing is drawn when q is 0.
     """
-    if test == "swap":
-        return first_failing_shot(lambda draws: draws < (1.0 - f) / 2.0, shots, seed)
-    if test == "inverse":
-        return first_failing_shot(lambda draws: draws >= f, shots, seed)
-    raise ValueError(f"no per-shot law for test '{test}'")
+    return first_failing_shot(failure_probability(test, f), shots, seed)
 
 
 def _law_verdict(
@@ -271,10 +287,12 @@ def _law_verdict(
 ) -> TestVerdict:
     _check_shots(shots)
     actual, target = run_statevector(compose(w, u)), expected_state(expected)
+    f = fidelity(actual, target)
     if statevector_verdict(actual, target).passed:
-        return TestVerdict("pass")
-    first = first_failure_under_law(test, fidelity(actual, target), shots, seed)
-    return TestVerdict("pass" if first is None else "fail", first_failure_shot=first)
+        return TestVerdict("pass", fidelity=f, failure_probability=0.0)
+    first = first_failure_under_law(test, f, shots, seed)
+    return TestVerdict("pass" if first is None else "fail", first_failure_shot=first,
+                       fidelity=f, failure_probability=failure_probability(test, f))
 
 
 def swap_test(

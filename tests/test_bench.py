@@ -55,11 +55,15 @@ class TestFirstFailureShot:
     per-shot law at sigma_11."""
 
     def test_basic(self):
-        # orthogonal states: every inverse shot fails, a swap shot half the time
-        assert first_failure_under_law("inverse", 0.0, 10, seed=0) == 1
-        draws = np.random.default_rng(3).random(50)
-        assert first_failure_under_law("swap", 0.0, 50, seed=3) == \
-            int(np.flatnonzero(draws < 0.5)[0]) + 1
+        # one Geometric(q) draw: q = 1 - F for inverse and (1 - F)/2 for swap;
+        # at F = 0 every inverse shot fails and a swap shot half the time
+        for seed in range(20):
+            assert first_failure_under_law("inverse", 0.0, 10, seed) == 1
+            for test, f, q in (("swap", 0.0, 0.5), ("inverse", 0.75, 0.25),
+                               ("swap", 0.75, 0.125)):
+                k = np.random.default_rng(seed).geometric(q)
+                assert first_failure_under_law(test, f, 20, seed) == (
+                    k if k <= 20 else None), (test, f, seed)
 
     def test_all_zeros(self):
         for test in ("swap", "inverse"):
@@ -337,7 +341,7 @@ class TestRunBenchmark:
         text = bench.rows_to_csv(bench.run_benchmark(pairs, cfg))
         assert len(pairs) == 51 and len(text.splitlines()) == 1 + 663
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "c887db7477409140c79b19605f142a2dee4df56e2fb9aff535a7e75cfbf8a34b")
+            "48f2b64067e39cdddfd708c497a2cd019ac7061c2626c73740f252e3fcc1265b")
 
     def test_each_pair_simulated_twice(self, small_corpus, monkeypatch):
         # the original and the mutant are simulated once each; sigma_11,

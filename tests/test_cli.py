@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qut
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.cli import main
 from qut.qasm import emit_qasm, parse_qasm
@@ -104,13 +109,14 @@ class TestExitCodes:
                                       "inverse"])
     def test_shots_past_int64_are_two_before_any_draw(self, files, monkeypatch,
                                                       capsys, test):
-        # numpy samplers hold at most 2^63 - 1 shots
+        # numpy samplers hold at most 2^63 - 1 shots; the states differ, so
+        # swap and inverse would reach their draw
         def no_draws(*args, **kwargs):
             raise AssertionError("drew shots before checking the shot count")
 
         monkeypatch.setattr("qut.testing.multinomial_counts", no_draws)
-        monkeypatch.setattr("qut.simulator._uniform_chunks", no_draws)
-        assert run_cli("run", "--program", files["bell"], "--expected",
+        monkeypatch.setattr("qut.testing.first_failing_shot", no_draws)
+        assert run_cli("run", "--program", files["broken"], "--expected",
                        files["bell"], "--test", test,
                        "--shots", str(2 ** 63)) == 2
         captured = capsys.readouterr()
@@ -121,11 +127,12 @@ class TestExitCodes:
     def test_multinomial_refusal_draws_no_shot_stream(self, tmp_path,
                                                       monkeypatch, capsys):
         # the enumeration limit is met after one multinomial draw, not after
-        # 10^8 uniforms; an out-of-support shot still fails before the refusal
+        # a per-shot stream; an out-of-support shot still fails before the
+        # refusal
         def no_stream(*args, **kwargs):
             raise AssertionError("drew a per-shot stream")
 
-        monkeypatch.setattr("qut.simulator._uniform_chunks", no_stream)
+        monkeypatch.setattr("qut.testing.first_failing_shot", no_stream)
         h = tmp_path / "h.qasm"
         h.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
         zero = tmp_path / "zero.qasm"
@@ -241,3 +248,47 @@ class TestSubcommands:
         assert text.startswith("pair_id,test,repetition")
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["statevector"]["recall"] == 1.0
+
+
+class TestVerdictEvidence:
+    def test_swap_and_inverse_report_fidelity_and_failure_probability(
+            self, files, capsys):
+        # |+0> against the Bell state: F = 1/4, so q = 3/8 and 3/4
+        for test, q in (("swap", 0.375), ("inverse", 0.75)):
+            assert run_cli("run", "--program", files["broken"], "--expected",
+                           files["bell"], "--test", test, "--shots", "100") == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["fidelity"] == pytest.approx(0.25)
+            assert out["failure_probability"] == pytest.approx(q)
+            assert 1 <= out["first_failure_shot"] <= 100
+            # the same state: nothing drawn, q reported as 0
+            assert run_cli("run", "--program", files["bell"], "--expected",
+                           files["bell"], "--test", test) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["outcome"] == "pass"
+            assert out["fidelity"] == pytest.approx(1.0)
+            assert out["failure_probability"] == 0.0
+            assert "first_failure_shot" not in out
+
+    def test_verdicts_without_statistics_do_not_import_scipy(self, files):
+        # a fresh interpreter: swap, inverse and statevector verdicts, parse
+        # and mutate leave scipy unloaded
+        script = "\n".join([
+            "import sys",
+            "from qut.cli import main",
+            f"argv = ['--program', {files['broken']!r}, '--expected', "
+            f"{files['bell']!r}, '--shots', '10000000']",
+            "for test in ('swap', 'inverse'):",
+            "    assert main(['run', '--test', test] + argv) == 1",
+            "assert main(['run', '--test', 'statevector'] + argv[:4]) == 1",
+            f"assert main(['parse', '--in', {files['bell']!r}]) == 0",
+            f"assert main(['mutate', '--circuit', {files['bell']!r}, '--out', "
+            f"{str(files['dir'] / 'mutants')!r}]) == 0",
+            "assert 'scipy' not in sys.modules, sorted("
+            "m for m in sys.modules if m.startswith('scipy'))[:5]",
+        ])
+        src = str(Path(qut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -53,20 +53,26 @@ class TestSwapTest:
         assert v.passed
 
     def test_memory_bounded_at_1e8_shots(self):
-        # the per-shot law is sampled in chunks, never as one 1e8-draw array.
-        # h passes the same-state predicate and draws nothing; h; rz(2e-9)
-        # deviates by 1.4e-9, so it draws, but its F rounds to 1 and every
-        # one of the 1e8 shots passes
+        # the first failing shot is one geometric draw, never an array of
+        # per-shot draws.  h passes the same-state predicate and draws
+        # nothing; h; rz(2e-9) deviates by 1.4e-9, so it fails the predicate,
+        # but its F rounds to 1, so q = 0 and it draws nothing either.
+        # h; ry(2 asin(1e-6)) has 1 - F = 1e-12 and fails within 10^18 shots
         near = H_CIRCUIT.appended(GateApplication("rz", (0,), (2e-9,)))
-        for program in (H_CIRCUIT, near):
+        far = H_CIRCUIT.appended(
+            GateApplication("ry", (0,), (2 * math.asin(1e-6),)))
+        for program, shots in ((H_CIRCUIT, 10 ** 8), (near, 10 ** 8),
+                               (far, 10 ** 18)):
             tracemalloc.start()
             try:
-                v = swap_test(EMPTY_1Q, program, H_CIRCUIT, 10 ** 8, seed=0)
+                v = swap_test(EMPTY_1Q, program, H_CIRCUIT, shots, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert v.passed
+            assert v.passed == (program is not far)
             assert peak < 16 * 2 ** 20
+        assert v.failure_probability == pytest.approx(5e-13, rel=1e-6)
+        assert 1 <= v.first_failure_shot <= 10 ** 18
 
     def test_no_false_positives_on_random_equivalent_pairs(self):
         for seed in range(100):

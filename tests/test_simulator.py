@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
 from qut.jsonio import nearest_unitary
@@ -220,20 +221,58 @@ class TestMultinomialCounts:
 
 
 class TestFirstFailingShot:
-    def test_matches_the_unchunked_stream(self):
-        # first failures from shot 1 to past the 2^16-draw chunk boundary
-        # (seeds 0-3 at p = 2e-6 fail at shots 150051, 98886, none, 141011)
-        for shots, p in ((10, 0.5), (70_000, 1e-5), (200_000, 1e-5),
-                         (200_000, 2e-6)):
-            for seed in range(5):
-                draws = np.random.default_rng(seed).random(shots)
-                hits = np.flatnonzero(draws < p)
-                want = int(hits[0]) + 1 if hits.size else None
-                got = first_failing_shot(lambda u: u < p, shots, seed)
-                assert got == want, (shots, p, seed)
+    """Shots fail independently with probability q, so the first failure is
+    Geometric(q), drawn once per call."""
 
-    def test_never_failing_law(self):
-        assert first_failing_shot(lambda u: u < 0.0, 300_000, seed=1) is None
+    def test_matches_the_seeded_geometric_draw(self):
+        for shots, q in ((10, 0.5), (70_000, 1e-5), (200_000, 2e-6),
+                         (2 ** 63 - 1, 1e-12)):
+            for seed in range(5):
+                k = np.random.default_rng(seed).geometric(q)
+                got = first_failing_shot(q, shots, seed)
+                assert got == (k if k <= shots else None), (shots, q, seed)
+                assert got is None or type(got) is int
+
+    @pytest.mark.parametrize("q", [0.5, 1e-3, 1e-6])
+    def test_values_follow_the_geometric_law(self, q):
+        # chi-square over bins cut at the law's deciles, alpha = 1e-3; the
+        # reference law is scipy's, independent of numpy's sampler
+        n = 4000
+        got = np.array([first_failing_shot(q, 10 ** 12, seed)
+                        for seed in range(10_000, 10_000 + n)])
+        edges = np.unique(stats.geom.ppf(np.arange(1, 10) / 10, q))
+        observed = np.bincount(np.searchsorted(edges, got), minlength=len(edges) + 1)
+        cdf = np.concatenate(([0.0], stats.geom.cdf(edges, q), [1.0]))
+        _, p = stats.chisquare(observed, n * np.diff(cdf))
+        assert p > 1e-3, (q, observed.tolist())
+
+    @pytest.mark.parametrize("q, shots", [(0.5, 1), (1e-3, 500), (1e-6, 10 ** 6)])
+    def test_share_past_the_cap_is_the_survival_law(self, q, shots):
+        # the share of None is (1 - q)^shots: two-sided binomial test at 1e-3
+        n = 4000
+        misses = sum(first_failing_shot(q, shots, seed) is None
+                     for seed in range(20_000, 20_000 + n))
+        assert stats.binomtest(misses, n, (1 - q) ** shots).pvalue > 1e-3, misses
+
+    def test_never_failing_law(self, monkeypatch):
+        # q <= 0 draws nothing
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a shot")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for q in (0.0, -2.0 ** -53):
+            assert first_failing_shot(q, 300_000, seed=1) is None
 
     def test_always_failing_law(self):
-        assert first_failing_shot(lambda u: u >= 0.0, 5, seed=1) == 1
+        for seed in range(20):
+            assert first_failing_shot(1.0, 5, seed) == 1
+
+    def test_float64_granularity_at_the_largest_shot_count(self):
+        # q = 2^-53 (1 - F one ulp below 1) and q = 5e-324 both draw an int
+        # no larger than 2^63 - 1: numpy clamps the variate, nothing wraps
+        shots = 2 ** 63 - 1
+        for q in (2.0 ** -53, 2.0 ** -54, 5e-324):
+            for seed in range(20):
+                got = first_failing_shot(q, shots, seed)
+                assert got is None or (type(got) is int and 1 <= got <= shots)
+        assert first_failing_shot(5e-324, shots, seed=0) == shots

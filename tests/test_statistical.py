@@ -12,10 +12,13 @@ from qut.testing import (
     STAT_KINDS,
     chi2_statistic,
     exact_multinomial_p_value,
+    first_failure_under_law,
     g_statistic,
+    inverse_test,
     mc_statistical_test,
     statistical_p_value,
     statistical_test,
+    swap_test,
 )
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
@@ -232,3 +235,28 @@ class TestStreamContract:
         v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 10 ** 7, 0.05,
                              "chi2", seed=0)
         assert v.p_value == pytest.approx(0.20840837346703991, rel=1e-9)
+
+
+class TestLawStreamContract:
+    """Per-seed first failing shots of swap and inverse, pinned (stream
+    version 3): each is one `default_rng(seed).geometric(q)` draw, with
+    q = (1 - F)/2 for swap and 1 - F for inverse.  A change that moves these
+    must be recorded as a new stream version."""
+
+    def test_seeded_first_failures_are_pinned(self):
+        assert first_failure_under_law("swap", 0.75, 100, seed=1) == 9
+        assert first_failure_under_law("inverse", 0.75, 100, seed=1) == 4
+        assert first_failure_under_law("inverse", 0.999, 10 ** 4, seed=2) == 130
+        assert first_failure_under_law("swap", 0.999, 10 ** 4, seed=2) == 260
+
+    def test_perturbed_hadamard_at_1e7_is_pinned(self):
+        # the paper's buggy Hadamard, 1 - F = 6.05e-7
+        bug = Circuit(1, (GateApplication(
+            "ry", (0,), (2.0 * math.atan2(0.7077, 0.7066),)),))
+        pinned = {0: (2247985, 1123993), 1: (3547639, 1773820),
+                  2: (429346, 214673)}
+        for seed, (swap, inverse) in pinned.items():
+            assert swap_test(EMPTY_1Q, bug, H_CIRCUIT, 10 ** 7,
+                             seed).first_failure_shot == swap
+            assert inverse_test(EMPTY_1Q, bug, H_CIRCUIT, 10 ** 7,
+                                seed).first_failure_shot == inverse
