@@ -16,7 +16,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,7 @@ from .testing import (
     STAT_KINDS,
     MultinomialIntractableError,
     first_failure_under_law,
+    gof_statistic,
     mc_p_value,
     statevector_verdict,
     statistical_p_value,
@@ -87,11 +88,12 @@ _FIRST_BLOCK_ROWS = 256
 
 @functools.lru_cache(maxsize=64)
 def _critical_statistic(p_threshold: float, dof: int) -> float:
-    """A statistic just below chi2.isf(p_t, dof).  Every statistic whose sf
-    is below p_t exceeds it, as long as isf is accurate to the 1e-9 margin."""
-    from scipy import stats
+    """A statistic just below chdtri(dof, p_t), the chi-square critical
+    value.  Every statistic whose tail `chdtrc` is below p_t exceeds it, as
+    long as chdtri is accurate to the 1e-9 margin."""
+    from scipy.special import chdtri
 
-    return float(stats.chi2.isf(p_threshold, dof)) * (1.0 - 1e-9)
+    return float(chdtri(dof, p_threshold)) * (1.0 - 1e-9)
 
 
 def _first_crossing_asymptotic(
@@ -106,9 +108,9 @@ def _first_crossing_asymptotic(
     Only for the chi2 / g_test kinds, whose statistics admit a cumulative
     prefix formulation.  Prefixes are scanned in blocks of growing length,
     stopping at the first crossing.  A prefix whose statistic exceeds
-    `_critical_statistic` is a candidate, and `chi2.sf` decides it.
+    `_critical_statistic` is a candidate, and its tail `chdtrc` decides it.
     """
-    from scipy import stats
+    from scipy.special import chdtrc
 
     support = _support(probs)
     values = stream_values[:upto]
@@ -134,16 +136,10 @@ def _first_crossing_asymptotic(
             # cumsum over the whole stream
             counts = np.cumsum(one_hot, axis=0) + carried
             s = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-            expected = s * p_sup[None, :]
-            if kind == "chi2":
-                stat = ((counts - expected) ** 2 / expected).sum(axis=1)
-            else:
-                ratio = np.divide(counts, expected,
-                                  out=np.ones_like(counts), where=counts > 0)
-                stat = 2.0 * (counts * np.log(ratio)).sum(axis=1)
+            stat = gof_statistic(counts, s * p_sup[None, :], kind)
             candidates = np.flatnonzero(stat > crit)
             if candidates.size:
-                p_vals = stats.chi2.sf(stat[candidates], k - 1)
+                p_vals = chdtrc(k - 1, stat[candidates])
                 below = candidates[p_vals < p_threshold]
                 if below.size:
                     return start + int(below[0]) + 1
@@ -200,13 +196,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tests", tuple(self.tests))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.cap_factor <= 0:
-            raise ValueError("cap_factor must be positive")
+        for name in ("repetitions", "shot_cap_absolute", "mc_reps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("p_t", "p_e"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
+        if not 0.0 < self.cap_factor < math.inf:
+            raise ValueError("cap_factor must be positive and finite")
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
+        if len(set(self.tests)) != len(self.tests):
+            raise ValueError(f"tests repeat a name: {list(self.tests)}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -251,16 +254,21 @@ def load_circuit_file(path: str | Path) -> Circuit:
 
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
-    paths relative to the manifest."""
+    paths relative to the manifest.  A repeated pair_id raises ValueError:
+    rows are keyed and ranked by it."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    pairs = []
+    pairs, ids = [], set()
     for line in manifest_path.read_text().splitlines():
         if not line.strip():
             continue
         entry = json.loads(line)
+        pair_id = str(entry["pair_id"])
+        if pair_id in ids:
+            raise ValueError(f"pair_id '{pair_id}' appears twice")
+        ids.add(pair_id)
         pairs.append(CorpusPair(
-            str(entry["pair_id"]),
+            pair_id,
             load_circuit_file(base / entry["original"]),
             load_circuit_file(base / entry["mutant"]),
         ))
@@ -271,7 +279,9 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
     """Rows of every configured test for one pair.  The original and the
     mutant are simulated once each; sigma_11 is their fidelity, the shot
     estimate's input and the swap and inverse laws' F.  A pair that passes
-    `statevector_verdict`, or has no shot plan, gets one error row per test."""
+    `statevector_verdict`, or has no shot plan, gets one error row per test.
+    The sampled rows of each repetition are dense-ranked together by their
+    first detecting shot; error rows carry no rank."""
     rows: list[ExperimentRow] = []
     original_state = run_statevector(pair.original)
     mutant_state = run_statevector(pair.mutant)
@@ -288,20 +298,21 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
                 for t in config.tests]
     cap = min(config.shot_cap_absolute,
               math.ceil(config.cap_factor * estimate.shots))
-    cap = max(cap, 1)
 
     expected_probs = original_state.probabilities()
     mutant_probs = mutant_state.probabilities()
-
-    for test in config.tests:
-        if test == "statevector":
-            seed = mix_seed(config.base_seed, pair.pair_id, test, 0)
-            rows.append(ExperimentRow(
-                pair.pair_id, test, 0, seed, verdict.outcome, 0, estimate.shots,
-                wall_time_ms=verdict_ms if config.record_timing else 0,
-            ))
-            continue
-        for rep in range(config.repetitions):
+    if "statevector" in config.tests:
+        rows.append(ExperimentRow(
+            pair.pair_id, "statevector", 0,
+            mix_seed(config.base_seed, pair.pair_id, "statevector", 0),
+            verdict.outcome, 0, estimate.shots,
+            wall_time_ms=verdict_ms if config.record_timing else 0,
+        ))
+    sampled = [t for t in config.tests if t != "statevector"]
+    for rep in range(config.repetitions):
+        # (test, seed, first detecting shot or None, ms) of each ranked row
+        measured = []
+        for test in sampled:
             seed = mix_seed(config.base_seed, pair.pair_id, test, rep)
             start = time.perf_counter()
             if test in ("swap", "inverse"):
@@ -319,33 +330,16 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
                         estimate.shots))
                     continue
             elapsed = int((time.perf_counter() - start) * 1000)
+            measured.append((test, seed, found, elapsed))
+        ranks = dense_rank([found for _, _, found, _ in measured])
+        for (test, seed, found, elapsed), rank in zip(measured, ranks):
             rows.append(ExperimentRow(
                 pair.pair_id, test, rep, seed,
                 "fail" if found is not None else "not_detected",
-                found if found is not None else cap,
-                estimate.shots,
-                wall_time_ms=elapsed if config.record_timing else 0,
+                found if found is not None else cap, estimate.shots, rank,
+                elapsed if config.record_timing else 0,
             ))
     return rows
-
-
-def _fill_ranks(rows: list[ExperimentRow]) -> list[ExperimentRow]:
-    """Dense-rank sampled tests within each (pair_id, repetition) group."""
-    from dataclasses import replace
-
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, row in enumerate(rows):
-        if row.test in SAMPLED_TESTS and row.verdict in ("fail", "not_detected"):
-            groups.setdefault((row.pair_id, row.repetition), []).append(i)
-    out = list(rows)
-    for indices in groups.values():
-        shots = [
-            rows[i].shots_used if rows[i].verdict == "fail" else None
-            for i in indices
-        ]
-        for i, rank in zip(indices, dense_rank(shots)):
-            out[i] = replace(rows[i], rank=rank)
-    return out
 
 
 def run_benchmark(
@@ -356,7 +350,6 @@ def run_benchmark(
     rows: list[ExperimentRow] = []
     for pair in pairs:
         rows.extend(_run_pair(pair, config))
-    rows = _fill_ranks(rows)
     rows.sort(key=lambda r: (r.pair_id, r.test, r.repetition))
     return rows
 

@@ -12,10 +12,6 @@ from . import gates
 from .core import StateVector
 
 
-class NonInvertibleGateError(ValueError):
-    """Gate has no inverse within the catalog."""
-
-
 @dataclass(frozen=True)
 class GateApplication:
     """One gate acting on an ordered tuple of qubit indices."""

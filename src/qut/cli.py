@@ -188,7 +188,7 @@ def _cmd_bench(args) -> int:
         raise CliIoError(f"bad config: {exc}")
     try:
         pairs = bench.load_corpus(config.corpus)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliIoError(f"cannot load corpus: {exc}")
     rows = bench.run_benchmark(pairs, config)
     Path(args.out).write_text(bench.rows_to_csv(rows))

@@ -13,6 +13,7 @@ nearest unitary (polar projection via SVD); larger defects are rejected.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -60,22 +61,39 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # finite, and an int that float() can hold
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _list_of(entry: dict, key: str, accepts, what: str) -> list:
+    values = entry.get(key, [])
+    if not isinstance(values, list) or not all(accepts(v) for v in values):
+        raise CircuitJsonError(f"'{key}' must be a list of {what}")
+    return values
+
+
 def circuit_from_dict(data: dict) -> Circuit:
+    """Circuit of a decoded JSON object; any schema violation, including an
+    integer field given as a float or bool, raises CircuitJsonError."""
     if not isinstance(data, dict):
         raise CircuitJsonError("top-level JSON value must be an object")
-    try:
-        num_qubits = int(data["num_qubits"])
-        raw_gates = data.get("gates", [])
-        name = str(data.get("name", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitJsonError(f"bad circuit object: {exc}")
+    num_qubits = data.get("num_qubits")
+    if not _is_int(num_qubits):
+        raise CircuitJsonError(f"'num_qubits' must be an integer, got {num_qubits!r}")
+    name = str(data.get("name", ""))
     built = []
-    for entry in raw_gates:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise CircuitJsonError("each gate must be an object with a 'kind'")
-        kind = entry["kind"]
-        targets = tuple(int(t) for t in entry.get("targets", []))
-        params = tuple(float(p) for p in entry.get("params", []))
+    for entry in _list_of(data, "gates", lambda g: isinstance(g, dict), "objects"):
+        kind = entry.get("kind")
+        if not isinstance(kind, str):
+            raise CircuitJsonError("each gate must be an object with a string 'kind'")
+        targets = _list_of(entry, "targets", _is_int, "integers")
+        params = _list_of(entry, "params", _is_real, "real numbers")
         matrix = None
         if kind == gates.CUSTOM:
             if "matrix" not in entry:
@@ -84,7 +102,7 @@ def circuit_from_dict(data: dict) -> Circuit:
         elif kind not in gates.CATALOG:
             raise CircuitJsonError(f"unknown gate kind '{kind}'")
         try:
-            built.append(GateApplication(kind, targets, params, matrix))
+            built.append(GateApplication(kind, tuple(targets), tuple(params), matrix))
         except (ValueError, IndexError) as exc:
             raise CircuitJsonError(str(exc))
     try:

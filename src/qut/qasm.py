@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 from . import gates
 from .circuit import Circuit, GateApplication
@@ -38,6 +38,11 @@ class QasmError(ValueError):
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|->|[()\[\],;+\-*/])")
 
 
+# Parentheses and unary signs open nested calls; past this depth the parser
+# reports an error instead of exhausting Python's recursion limit.
+MAX_EXPR_DEPTH = 100
+
+
 class _ExprParser:
     """Left-associative precedence-climbing evaluator for parameter expressions."""
 
@@ -46,6 +51,7 @@ class _ExprParser:
         self.pos = 0
         self.line = line
         self.col = col
+        self.depth = 0
 
     def _fail(self, msg: str):
         raise QasmError(ParseDiagnostic(self.line, self.col, msg))
@@ -64,6 +70,8 @@ class _ExprParser:
         value = self.expr()
         if self.peek() is not None:
             self._fail(f"trailing token '{self.peek()}' in parameter expression")
+        if not isfinite(value):
+            self._fail(f"parameter expression evaluates to {value}")
         return value
 
     def expr(self) -> float:
@@ -89,15 +97,15 @@ class _ExprParser:
 
     def factor(self) -> float:
         tok = self.take()
-        if tok == "-":
-            return -self.factor()
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
+        if tok in ("-", "+", "("):
+            self.depth += 1
+            if self.depth > MAX_EXPR_DEPTH:
+                self._fail(f"parameter expression nested deeper than {MAX_EXPR_DEPTH}")
+            value = self.expr() if tok == "(" else self.factor()
+            if tok == "(" and self.take() != ")":
                 self._fail("expected ')' in parameter expression")
-            return value
+            self.depth -= 1
+            return -value if tok == "-" else value
         if tok == "pi":
             return pi
         try:

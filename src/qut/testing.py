@@ -69,13 +69,22 @@ def expected_state(expected: ExpectedSpec) -> StateVector:
     return run_statevector(expected)
 
 
-def chi2_statistic(observed: np.ndarray, expected_counts: np.ndarray) -> float:
-    return float(((observed - expected_counts) ** 2 / expected_counts).sum())
+def gof_statistic(counts: np.ndarray, expected_counts: np.ndarray, kind: str) -> np.ndarray:
+    """Goodness-of-fit statistic of each row (the last axis) of `counts`:
+    Pearson's sum (c - e)^2 / e for the chi2 kinds, and G = 2 sum c ln(c/e),
+    with 0 ln 0 = 0, for the G kinds."""
+    if kind in ("chi2", "mc_chi2"):
+        return ((counts - expected_counts) ** 2 / expected_counts).sum(axis=-1)
+    ratio = np.divide(counts, expected_counts,
+                      out=np.ones_like(counts, dtype=float), where=counts > 0)
+    return 2.0 * (counts * np.log(ratio)).sum(axis=-1)
 
 
-def g_statistic(observed: np.ndarray, expected_counts: np.ndarray) -> float:
-    nz = observed > 0
-    return float(2.0 * (observed[nz] * np.log(observed[nz] / expected_counts[nz])).sum())
+def _multinomial_logpmf(x: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """log Multinomial(n, p) pmf of each row of x, in SciPy's own formula."""
+    from scipy.special import gammaln, xlogy
+
+    return gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1)
 
 
 def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
@@ -84,8 +93,6 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
     Enumerates every composition of S into k categories; guarded by
     MULTINOMIAL_ENUM_LIMIT.
     """
-    from scipy import stats
-
     k = len(probs)
     shots = int(observed.sum())
     if comb(shots + k - 1, k - 1) > MULTINOMIAL_ENUM_LIMIT:
@@ -93,7 +100,7 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
             f"{comb(shots + k - 1, k - 1)} count vectors exceed enumeration "
             f"limit {MULTINOMIAL_ENUM_LIMIT}; use the Monte Carlo variant"
         )
-    log_obs = stats.multinomial.logpmf(observed, shots, probs)
+    log_obs = _multinomial_logpmf(observed, shots, probs)
     total = 0.0
     vec = np.zeros(k, dtype=np.int64)
 
@@ -101,7 +108,7 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
         nonlocal total
         if idx == k - 1:
             vec[idx] = remaining
-            lp = stats.multinomial.logpmf(vec, shots, probs)
+            lp = _multinomial_logpmf(vec, shots, probs)
             if lp <= log_obs + 1e-9:
                 total += np.exp(lp)
             return
@@ -117,30 +124,36 @@ def _support(probs: np.ndarray) -> np.ndarray:
     return probs >= PROB_FLOOR  # the outcomes `multinomial_counts` can draw
 
 
+def _on_support(counts: np.ndarray, probs: np.ndarray):
+    """The support rule of every goodness-of-fit p-value: p = 0.0 for a count
+    outside the expected support, p = 1.0 for a one-outcome support, else the
+    float counts on the support and the probabilities renormalized over it."""
+    support = _support(probs)
+    if counts[~support].sum() > 0:
+        return 0.0
+    if support.sum() == 1:
+        return 1.0
+    return counts[support].astype(float), probs[support] / probs[support].sum()
+
+
 def statistical_p_value(
     counts: np.ndarray, probs: np.ndarray, kind: str
 ) -> float:
     """Goodness-of-fit p-value of observed counts against expected probabilities.
 
-    Counts and probs are indexed by basis state.  Categories outside the
-    expected support short-circuit to p = 0; a single-category support with
-    all mass observed inside it yields p = 1.
+    Counts and probs are indexed by basis state; `_on_support` decides the
+    out-of-support and single-category cases.  The chi2 and G tails are
+    `chdtrc(K - 1, stat)`, with a statistic that rounds below zero read as 0.
     """
-    from scipy import stats
+    from scipy.special import chdtrc
 
-    support = _support(probs)
-    shots = int(counts.sum())
-    if counts[~support].sum() > 0:
-        return 0.0
-    obs = counts[support].astype(float)
-    p = probs[support] / probs[support].sum()
-    k = len(obs)
-    if k == 1:
-        return 1.0
-    if kind == "chi2":
-        return float(stats.chi2.sf(chi2_statistic(obs, shots * p), k - 1))
-    if kind == "g_test":
-        return float(stats.chi2.sf(g_statistic(obs, shots * p), k - 1))
+    reduced = _on_support(counts, probs)
+    if isinstance(reduced, float):
+        return reduced
+    obs, p = reduced
+    if kind in ("chi2", "g_test"):
+        stat = gof_statistic(obs, int(counts.sum()) * p, kind)
+        return float(chdtrc(len(p) - 1, max(stat, 0.0)))
     if kind == "multinomial":
         return exact_multinomial_p_value(obs.astype(np.int64), p)
     raise ValueError(f"unknown statistical kind '{kind}'")
@@ -196,20 +209,13 @@ def _discrepancy_scores(
     synthetic: np.ndarray, expected_counts: np.ndarray, probs: np.ndarray, kind: str
 ) -> np.ndarray:
     """Per-row score for MC comparison; lower = more extreme."""
-    from scipy import stats
+    from scipy.special import chdtrc
 
-    if kind == "mc_chi2":
-        stat = ((synthetic - expected_counts) ** 2 / expected_counts).sum(axis=1)
-        return stats.chi2.sf(stat, len(probs) - 1)
-    if kind == "mc_g":
-        ratio = np.ones_like(synthetic, dtype=float)
-        nz = synthetic > 0
-        ratio[nz] = synthetic[nz] / np.broadcast_to(expected_counts, synthetic.shape)[nz]
-        stat = 2.0 * (synthetic * np.log(ratio)).sum(axis=1)
-        return stats.chi2.sf(stat, len(probs) - 1)
+    if kind in ("mc_chi2", "mc_g"):
+        stat = gof_statistic(synthetic, expected_counts, kind)
+        return chdtrc(len(probs) - 1, np.maximum(stat, 0.0))
     if kind == "mc_multinomial":
-        shots = int(synthetic[0].sum())
-        return stats.multinomial.logpmf(synthetic, shots, probs)
+        return _multinomial_logpmf(synthetic, int(synthetic[0].sum()), probs)
     raise ValueError(f"unknown Monte Carlo kind '{kind}'")
 
 
@@ -224,15 +230,12 @@ def mc_p_value(
 
     p is (number of `repetitions` synthetic count vectors, drawn from `probs`
     with `rng`, at least as extreme as observed) / repetitions, with no
-    continuity correction.  The support rules of `statistical_p_value` apply.
+    continuity correction.  The support rule `_on_support` applies.
     """
-    support = _support(probs)
-    if counts[~support].sum() > 0:
-        return 0.0
-    obs = counts[support].astype(float)
-    p_sup = probs[support] / probs[support].sum()
-    if len(obs) == 1:
-        return 1.0
+    reduced = _on_support(counts, probs)
+    if isinstance(reduced, float):
+        return reduced
+    obs, p_sup = reduced
     shots = int(counts.sum())
     expected_counts = shots * p_sup
     observed = _discrepancy_scores(obs[None, :], expected_counts, p_sup, kind)[0]

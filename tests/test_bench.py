@@ -257,6 +257,11 @@ class TestConfig:
             bench.ExperimentConfig(tests=("nope",))
         with pytest.raises(ValueError):
             bench.ExperimentConfig(cap_factor=0.0)
+        for bad in ({"p_t": 2}, {"p_t": 0.0}, {"p_e": 1.0}, {"p_e": float("nan")},
+                    {"shot_cap_absolute": 0}, {"mc_reps": 0}, {"repetitions": True},
+                    {"cap_factor": float("inf")}, {"tests": ("swap", "swap")}):
+            with pytest.raises(ValueError):
+                bench.ExperimentConfig(**bad)
 
 
 @pytest.fixture

@@ -250,6 +250,78 @@ class TestSubcommands:
         assert metrics["statevector"]["recall"] == 1.0
 
 
+class TestInputContract:
+    """Malformed circuits and bench inputs end in exit 3 with a one-line
+    error, before anything runs."""
+
+    DEEP = 2000
+    MALFORMED = {
+        "nested_parens.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(" + "(" * DEEP
+        + "1" + ")" * DEEP + ") q[0];\n",
+        "unary_chain.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(" + "-" * DEEP
+        + "1) q[0];\n",
+        "targets_int.json": {"num_qubits": 1, "gates": [{"kind": "h", "targets": 0}]},
+        "params_nested.json": {"num_qubits": 1, "gates": [
+            {"kind": "rz", "targets": [0], "params": [[1]]}]},
+        "params_string.json": {"num_qubits": 1, "gates": [
+            {"kind": "rz", "targets": [0], "params": ["x"]}]},
+        "targets_float.json": {"num_qubits": 1, "gates": [
+            {"kind": "h", "targets": [0.5]}]},
+        "targets_bool.json": {"num_qubits": 2, "gates": [
+            {"kind": "h", "targets": [True]}]},
+        "width_float.json": {"num_qubits": 1.5, "gates": []},
+        "width_bool.json": {"num_qubits": True, "gates": []},
+        "gates_int.json": {"num_qubits": 1, "gates": 5},
+        "kind_list.json": {"num_qubits": 1, "gates": [{"kind": ["h"], "targets": [0]}]},
+        "param_inf.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(1e999) q[0];\n",
+        "param_inf.json": {"num_qubits": 1, "gates": [
+            {"kind": "rz", "targets": [0], "params": [float("inf")]}]},
+        "param_past_float.json": {"num_qubits": 1, "gates": [
+            {"kind": "rz", "targets": [0], "params": [10 ** 400]}]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_circuit_is_a_parse_error(self, tmp_path, capsys, name):
+        text = self.MALFORMED[name]
+        path = tmp_path / name
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
+        assert run_cli("parse", "--in", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @staticmethod
+    def _bench(tmp_path, manifest_lines, **config):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text("".join(json.dumps(line) + "\n" for line in manifest_lines))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": str(manifest), "repetitions": 2,
+                                        **config}))
+        out_csv = tmp_path / "rows.csv"
+        code = run_cli("bench", "--config", str(cfg_path), "--out", str(out_csv))
+        return code, out_csv.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"p_t": 2}, {"p_t": 0.0}, {"p_e": 1.0}, {"shot_cap_absolute": 0},
+        {"mc_reps": 0}, {"repetitions": 1.5}, {"cap_factor": float("inf")},
+        {"tests": ["chi2", "chi2"]},
+    ])
+    def test_bad_bench_config_is_rejected_before_any_pair_runs(
+            self, files, tmp_path, capsys, config):
+        # "p_t": 2 used to write not_detected on every chi2 row: chdtri(dof,
+        # 2) is NaN, so no prefix was ever a candidate
+        pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
+        assert self._bench(tmp_path, [pair], **config) == (3, False)
+        assert "bad config" in capsys.readouterr().err
+
+    def test_repeated_pair_id_is_rejected(self, files, tmp_path, capsys):
+        # rows are keyed and ranked by pair_id, so two pairs may not share one
+        pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
+        other = dict(pair, original=files["broken"], mutant=files["bell"])
+        assert self._bench(tmp_path, [pair, other]) == (3, False)
+        assert "appears twice" in capsys.readouterr().err
+        assert self._bench(tmp_path, [pair, dict(other, pair_id="p1")]) == (0, True)
+
+
 class TestVerdictEvidence:
     def test_swap_and_inverse_report_fidelity_and_failure_probability(
             self, files, capsys):
@@ -286,6 +358,38 @@ class TestVerdictEvidence:
             f"{str(files['dir'] / 'mutants')!r}]) == 0",
             "assert 'scipy' not in sys.modules, sorted("
             "m for m in sys.modules if m.startswith('scipy'))[:5]",
+        ])
+        src = str(Path(qut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_statistical_verdicts_and_bench_do_not_import_scipy_stats(
+            self, files, tmp_path):
+        # the p-values need only scipy.special: a fresh interpreter runs each
+        # of the six statistical families and a bench over all of them
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(json.dumps({"pair_id": "p0", "original": files["bell"],
+                                        "mutant": files["broken"]}) + "\n")
+        from qut.bench import ExperimentConfig, SAMPLED_TESTS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(ExperimentConfig(corpus=str(manifest), repetitions=2,
+                                        tests=SAMPLED_TESTS, mc_reps=20).to_json())
+        script = "\n".join([
+            "import sys",
+            "from qut.cli import main",
+            f"argv = ['--program', {files['bell']!r}, '--expected', "
+            f"{files['bell']!r}, '--shots', '20', '--mc-reps', '50']",
+            "for test in ('chi2', 'g', 'multinomial', 'mc-chi2', 'mc-g', "
+            "'mc-multinomial'):",
+            "    assert main(['run', '--test', test] + argv) == 0, test",
+            "    assert 'scipy.stats' not in sys.modules, test",
+            f"assert main(['bench', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'rows.csv')!r}]) == 0",
+            "assert 'scipy.special' in sys.modules",
+            "assert 'scipy.stats' not in sys.modules, sorted("
+            "m for m in sys.modules if m.startswith('scipy.stats'))[:5]",
         ])
         src = str(Path(qut.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qut.circuit import Circuit, GateApplication, random_circuit
-from qut.qasm import QasmError, emit_qasm, parse_qasm
+from qut.qasm import MAX_EXPR_DEPTH, QasmError, emit_qasm, parse_qasm
 
 HEADER = "OPENQASM 2.0;\n"
 
@@ -33,6 +33,18 @@ def test_expression_precedence_and_unary():
     c = parse_qasm(HEADER + "qreg q[1];\nr(-pi/2 + 1*0.5, 2*(pi - 3)) q[0];\n")
     assert c.gates[0].params[0] == pytest.approx(-math.pi / 2 + 0.5)
     assert c.gates[0].params[1] == pytest.approx(2 * (math.pi - 3))
+
+
+def test_expression_nesting_up_to_the_depth_limit():
+    # each parenthesis and unary sign is one level; one past the limit is a
+    # parse error, not a RecursionError
+    def nested(opener, closer, depth):
+        return f"{HEADER}qreg q[1];\nrz({opener * depth}1{closer * depth}) q[0];\n"
+
+    for opener, closer in (("(", ")"), ("-", "")):
+        assert parse_qasm(nested(opener, closer, MAX_EXPR_DEPTH)).gates[0].params == (1.0,)
+        with pytest.raises(QasmError, match="nested deeper"):
+            parse_qasm(nested(opener, closer, MAX_EXPR_DEPTH + 1))
 
 
 def test_measurement_stripped_with_warning():

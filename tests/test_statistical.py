@@ -10,11 +10,11 @@ from qut.testing import (
     MC_KINDS,
     MultinomialIntractableError,
     STAT_KINDS,
-    chi2_statistic,
     exact_multinomial_p_value,
     first_failure_under_law,
-    g_statistic,
+    gof_statistic,
     inverse_test,
+    mc_p_value,
     mc_statistical_test,
     statistical_p_value,
     statistical_test,
@@ -29,16 +29,41 @@ class TestStatistics:
     def test_chi2_matches_scipy(self):
         obs = np.array([480.0, 520.0])
         exp = np.array([500.0, 500.0])
-        ours = chi2_statistic(obs, exp)
         scipy_stat, _ = stats.chisquare(obs, exp)
-        assert ours == pytest.approx(scipy_stat)
+        for kind in ("chi2", "mc_chi2"):
+            assert gof_statistic(obs, exp, kind) == pytest.approx(scipy_stat)
 
     def test_g_matches_scipy_power_divergence(self):
-        obs = np.array([480.0, 520.0])
-        exp = np.array([500.0, 500.0])
+        obs = np.array([480.0, 520.0, 0.0])
+        exp = np.array([500.0, 499.0, 1.0])
         scipy_stat, _ = stats.power_divergence(obs, exp,
                                                lambda_="log-likelihood")
-        assert g_statistic(obs, exp) == pytest.approx(scipy_stat)
+        for kind in ("g_test", "mc_g"):
+            assert gof_statistic(obs, exp, kind) == pytest.approx(scipy_stat)
+
+    def test_statistic_is_computed_per_row(self):
+        # each row of a 2-D count array gets the statistic of that row alone
+        rng = np.random.default_rng(0)
+        counts = rng.multinomial(50, [0.2, 0.3, 0.5], size=6).astype(float)
+        counts[0, 1] = 0.0
+        exp = 50 * np.array([0.25, 0.25, 0.5])
+        for kind in ("chi2", "g_test"):
+            rows = gof_statistic(counts, exp, kind)
+            assert rows.shape == (6,)
+            for row, stat in zip(counts, rows):
+                assert gof_statistic(row, exp, kind) == stat
+
+    def test_negative_g_rounding_reads_as_perfect_fit(self):
+        # counts equal to their expectation up to rounding: G comes out a
+        # few ulp below zero, where chdtrc is NaN; the tail must be 1
+        counts = np.array([21, 29, 30, 25])
+        probs = np.sqrt(counts / 105) ** 2
+        expected = 105 * (probs / probs.sum())
+        assert gof_statistic(counts.astype(float), expected, "g_test") < 0
+        for kind in ("chi2", "g_test"):
+            assert statistical_p_value(counts, probs, kind) == 1.0
+        rng = np.random.default_rng(0)
+        assert mc_p_value(counts, probs, "mc_g", 200, rng) == 1.0
 
     def test_p_value_against_scipy(self):
         counts = np.array([480, 520])
