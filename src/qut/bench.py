@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit
-from .qasm import parse_qasm
-from .jsonio import parse_json
+from .jsonio import load_circuit
 from .core import fidelity
 from .shots import EquivalentStatesError, estimate_shots
 from .simulator import run_statevector, sample_from_probs
@@ -244,14 +243,6 @@ class CorpusPair:
     mutant: Circuit
 
 
-def load_circuit_file(path: str | Path) -> Circuit:
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".json":
-        return parse_json(text)
-    return parse_qasm(text)
-
-
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
     paths relative to the manifest.  A repeated pair_id raises ValueError:
@@ -269,8 +260,8 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
         ids.add(pair_id)
         pairs.append(CorpusPair(
             pair_id,
-            load_circuit_file(base / entry["original"]),
-            load_circuit_file(base / entry["mutant"]),
+            load_circuit(base / entry["original"]),
+            load_circuit(base / entry["mutant"]),
         ))
     return pairs
 

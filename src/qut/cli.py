@@ -11,13 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, mutation
 from .circuit import Circuit
-from .core import StateVector
-from .jsonio import CircuitJsonError, emit_json, parse_json
-from .qasm import ParseDiagnostic, QasmError, emit_qasm, parse_qasm
+from .jsonio import CircuitJsonError, emit_json, load_circuit
+from .qasm import ParseDiagnostic, QasmError, emit_qasm
 from .shots import EquivalentStatesError, estimate_shots_for_pair
 from .testing import (
     DEFAULT_TOLERANCE,
@@ -51,41 +48,21 @@ class CliIoError(Exception):
     pass
 
 
-def _load_circuit(path: str, warnings: list[str] | None = None) -> Circuit:
-    """Parse a QASM or JSON circuit file; parser warnings such as stripped
-    measurements are appended to `warnings` as "path: line N: message"."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliIoError(f"cannot read {path}: {exc}")
+def _load_circuit(path: str, warnings: list[str] | None = None,
+                  states: bool = False) -> ExpectedSpec:
+    """`jsonio.load_circuit` with its errors as CliIoError (exit 3); parser
+    warnings such as stripped measurements are appended to `warnings` as
+    "path: line N: message"."""
     diagnostics: list[ParseDiagnostic] = []
     try:
-        if path.endswith(".json"):
-            circuit = parse_json(text)
-        else:
-            circuit = parse_qasm(text, diagnostics)
+        loaded = load_circuit(path, diagnostics, states)
+    except OSError as exc:
+        raise CliIoError(f"cannot read {path}: {exc}")
     except (QasmError, CircuitJsonError) as exc:
         raise CliIoError(f"{path}: {exc}")
     if warnings is not None:
         warnings += [f"{path}: line {d.line}: {d.message}" for d in diagnostics]
-    return circuit
-
-
-def _load_expected(path: str, warnings: list[str] | None = None) -> ExpectedSpec:
-    """Expected spec file: a circuit (QASM or JSON), or a JSON statevector
-    object {"amplitudes": [[re, im], ...]}."""
-    if path.endswith(".json"):
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliIoError(f"cannot read {path}: {exc}")
-        if isinstance(data, dict) and "amplitudes" in data:
-            try:
-                amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-                return StateVector.from_amplitudes(amps)
-            except (TypeError, ValueError) as exc:
-                raise CliIoError(f"{path}: bad statevector: {exc}")
-    return _load_circuit(path, warnings)
+    return loaded
 
 
 def _cmd_run(args) -> int:
@@ -93,7 +70,7 @@ def _cmd_run(args) -> int:
     program = _load_circuit(args.program, warnings)
     w = (_load_circuit(args.input, warnings) if args.input
          else Circuit(program.num_qubits))
-    expected = _load_expected(args.expected, warnings)
+    expected = _load_circuit(args.expected, warnings, states=True)
     test = _TEST_NAMES[args.test]
     if test == "statevector":
         verdict = statevector_test(
@@ -129,7 +106,7 @@ def _cmd_run(args) -> int:
 def _cmd_estimate_shots(args) -> int:
     warnings: list[str] = []
     program = _load_circuit(args.program, warnings)
-    expected = _load_expected(args.expected, warnings)
+    expected = _load_circuit(args.expected, warnings, states=True)
     try:
         est = estimate_shots_for_pair(Circuit(program.num_qubits), program,
                                       expected, p_e=args.pe)

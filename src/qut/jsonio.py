@@ -1,10 +1,12 @@
-"""JSON interchange format for circuits.
+"""JSON interchange format for circuits and expected statevectors, and the
+one loader of circuit files in either format.
 
 Schema:
     { "num_qubits": int, "name": str,
       "gates": [ { "kind": str, "targets": [int], "params": [float],
                    "matrix": [[[re, im], ...], ...]   # custom gates only
                  } ] }
+    { "amplitudes": [[re, im], ...] }                 # expected states only
 
 Custom matrices with a small unitarity defect (<= 1e-3) are projected to the
 nearest unitary (polar projection via SVD); larger defects are rejected.
@@ -14,11 +16,14 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import gates
 from .circuit import Circuit, GateApplication
+from .core import StateVector
+from .qasm import ParseDiagnostic, parse_qasm
 
 REUNITARIZE_MAX_DEFECT = 1e-3
 
@@ -38,15 +43,13 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 
 def _matrix_from_json(raw, num_targets: int) -> np.ndarray:
-    try:
-        m = np.array([[complex(re, im) for re, im in row] for row in raw])
-    except (TypeError, ValueError) as exc:
-        raise CircuitJsonError(f"malformed matrix entry: {exc}")
     dim = 1 << num_targets
-    if m.shape != (dim, dim):
-        raise CircuitJsonError(
-            f"matrix shape {m.shape} does not match {num_targets} target(s)"
-        )
+    if not isinstance(raw, list):
+        raise CircuitJsonError("'matrix' must be a list of rows")
+    rows = [_complex_entries(row, "each matrix row") for row in raw]
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise CircuitJsonError(f"matrix is not {dim} x {dim} for {num_targets} target(s)")
+    m = np.array(rows)
     defect = _unitarity_defect(m)
     if defect > REUNITARIZE_MAX_DEFECT:
         raise CircuitJsonError(
@@ -76,6 +79,21 @@ def _list_of(entry: dict, key: str, accepts, what: str) -> list:
     if not isinstance(values, list) or not all(accepts(v) for v in values):
         raise CircuitJsonError(f"'{key}' must be a list of {what}")
     return values
+
+
+def _complex_entries(raw, what: str) -> list[complex]:
+    # No entry past magnitude 2 fits a unitary within the projection's
+    # defect bound or a normalized state; refusing them before any
+    # arithmetic keeps numpy's overflow warnings out of the output.
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(_is_real(v) and abs(v) <= 2 for v in pair)
+        for pair in raw
+    ):
+        raise CircuitJsonError(
+            f"{what} must be a list of [re, im] pairs of real numbers of magnitude <= 2"
+        )
+    return [complex(re, im) for re, im in raw]
 
 
 def circuit_from_dict(data: dict) -> Circuit:
@@ -122,13 +140,37 @@ def circuit_to_dict(c: Circuit) -> dict:
     return {"num_qubits": c.num_qubits, "name": c.name, "gates": out_gates}
 
 
-def parse_json(text: str) -> Circuit:
+def _decode(text: str):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise CircuitJsonError(f"invalid JSON: {exc}")
-    return circuit_from_dict(data)
+
+
+def parse_json(text: str) -> Circuit:
+    return circuit_from_dict(_decode(text))
 
 
 def emit_json(c: Circuit) -> str:
     return json.dumps(circuit_to_dict(c), indent=2)
+
+
+def load_circuit(path: str | Path, diagnostics: list[ParseDiagnostic] | None = None,
+                 states: bool = False) -> Circuit | StateVector:
+    """The circuit in a file: JSON for a `.json` suffix, QASM otherwise, with
+    QASM warnings appended to `diagnostics`.  With `states`, a JSON object
+    {"amplitudes": ...} loads as a StateVector.  Bytes that are not UTF-8
+    read as U+FFFD, as in `parse_qasm`.  Raises OSError, QasmError or
+    CircuitJsonError."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    if path.suffix != ".json":
+        return parse_qasm(text, diagnostics)
+    data = _decode(text)
+    if states and isinstance(data, dict) and "amplitudes" in data:
+        amplitudes = _complex_entries(data["amplitudes"], "amplitudes")
+        try:
+            return StateVector.from_amplitudes(np.array(amplitudes, dtype=complex))
+        except ValueError as exc:
+            raise CircuitJsonError(f"bad statevector: {exc}")
+    return circuit_from_dict(data)

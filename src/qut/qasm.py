@@ -5,6 +5,10 @@ catalog gate statements with parameter expressions (decimal literals, pi,
 + - * /, unary minus, parentheses), and measure statements.  Measurements
 are accepted but stripped with a warning, since all tests consume
 measurement-free circuits.
+
+The parser checks syntax and register bounds; `GateApplication` is the one
+check of a gate's arity, parameters and targets.  Every error is a
+`QasmError` with a line and a column, which the CLI maps to exit 3.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ class QasmError(ValueError):
         self.diagnostic = diagnostic
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|->|[()\[\],;+\-*/])")
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|->|[()\[\],;+\-*/]"
+_TOKEN_ONLY_RE = re.compile(_TOKEN)
+# The catch-all takes the rest of the line from a character that starts no
+# token, so a bad character is always the last match of its line.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S.*)")
 
 
 # Parentheses and unary signs open nested calls; past this depth the parser
@@ -43,53 +51,129 @@ _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\
 MAX_EXPR_DEPTH = 100
 
 
-class _ExprParser:
-    """Left-associative precedence-climbing evaluator for parameter expressions."""
+class _Cursor:
+    """Reads a program's tokens statement by statement and evaluates parameter
+    expressions by left-associative precedence climbing.  No rule consumes a
+    statement's closing ';' except as a terminator, so no read runs past the
+    last token."""
 
-    def __init__(self, tokens: list[str], line: int, col: int):
+    def __init__(self, tokens: list[str], lines: list[int]):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
-        self.line = line
-        self.col = col
+        self.line = 1
         self.depth = 0
 
-    def _fail(self, msg: str):
-        raise QasmError(ParseDiagnostic(self.line, self.col, msg))
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def fail(self, msg: str):
+        raise QasmError(ParseDiagnostic(self.line, 1, msg))
 
     def take(self) -> str:
-        if self.pos >= len(self.tokens):
-            self._fail("unexpected end of parameter expression")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def parse(self) -> float:
+    def accept(self, tok: str) -> bool:
+        if self.tokens[self.pos] == tok:
+            self.pos += 1
+            return True
+        return False
+
+    def program(self, diagnostics: list[ParseDiagnostic]) -> Circuit:
+        qreg_name: str | None = None
+        num_qubits = 0
+        built: list[GateApplication] = []
+        while self.pos < len(self.tokens):
+            self.line = self.lines[self.pos]
+            head = self.take()
+            if head in ("qreg", "creg"):
+                name, size = self.arg()
+                if not self.accept(";"):
+                    self.fail(f"trailing tokens after {head} declaration")
+                if head == "creg":
+                    continue
+                if qreg_name is not None:
+                    self.fail(f"register '{name}' redeclared (single qreg supported)")
+                if size < 1:
+                    self.fail("qreg size must be >= 1")
+                qreg_name, num_qubits = name, size
+                continue
+            if head in ("measure", "barrier"):
+                if head == "measure":
+                    if qreg_name is None:
+                        self.fail("measure before qreg declaration")
+                    diagnostics.append(
+                        ParseDiagnostic(self.line, 1, "measurement stripped", "warning")
+                    )
+                self.pos = self.tokens.index(";", self.pos) + 1
+                continue
+
+            if head not in gates.CATALOG:
+                self.fail(f"unknown gate name '{head}'")
+            if qreg_name is None:
+                self.fail("gate application before qreg declaration")
+            params = self.params()
+            targets = [self.target(qreg_name, num_qubits)]
+            while self.accept(","):
+                targets.append(self.target(qreg_name, num_qubits))
+            if not self.accept(";"):
+                self.fail("expected ',' between gate arguments")
+            try:
+                built.append(GateApplication(head, tuple(targets), params))
+            except ValueError as exc:
+                self.fail(str(exc))
+        if qreg_name is None:
+            raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
+        return Circuit(num_qubits, tuple(built))
+
+    def arg(self) -> tuple[str, int]:
+        name = self.take()
+        if name.isidentifier() and self.take() == "[":
+            index = self.take()
+            if index.isdigit() and self.take() == "]":
+                try:
+                    return name, int(index)
+                except ValueError:  # past int()'s digit limit
+                    pass
+        self.fail("expected argument of the form name[index]")
+
+    def target(self, register: str, size: int) -> int:
+        name, index = self.arg()
+        if name != register:
+            self.fail(f"unknown register '{name}'")
+        if index >= size:
+            self.fail(f"qubit index {index} >= register size {size}")
+        return index
+
+    def params(self) -> tuple[float, ...]:
+        if not self.accept("(") or self.accept(")"):
+            return ()
+        values = [self.value()]
+        while self.accept(","):
+            values.append(self.value())
+        if not self.accept(")"):
+            self.fail(f"unexpected token '{self.tokens[self.pos]}' in gate parameters")
+        return tuple(values)
+
+    def value(self) -> float:
         value = self.expr()
-        if self.peek() is not None:
-            self._fail(f"trailing token '{self.peek()}' in parameter expression")
         if not isfinite(value):
-            self._fail(f"parameter expression evaluates to {value}")
+            self.fail(f"parameter expression evaluates to {value}")
         return value
 
     def expr(self) -> float:
         value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+        while self.tokens[self.pos] in ("+", "-"):
+            value = value + self.term() if self.take() == "+" else value - self.term()
         return value
 
     def term(self) -> float:
         value = self.factor()
-        while self.peek() in ("*", "/"):
+        while self.tokens[self.pos] in ("*", "/"):
             op = self.take()
             rhs = self.factor()
             if op == "/":
                 if rhs == 0.0:
-                    self._fail("division by zero in parameter expression")
+                    self.fail("division by zero in parameter expression")
                 value = value / rhs
             else:
                 value = value * rhs
@@ -100,10 +184,10 @@ class _ExprParser:
         if tok in ("-", "+", "("):
             self.depth += 1
             if self.depth > MAX_EXPR_DEPTH:
-                self._fail(f"parameter expression nested deeper than {MAX_EXPR_DEPTH}")
+                self.fail(f"parameter expression nested deeper than {MAX_EXPR_DEPTH}")
             value = self.expr() if tok == "(" else self.factor()
             if tok == "(" and self.take() != ")":
-                self._fail("expected ')' in parameter expression")
+                self.fail("expected ')' in parameter expression")
             self.depth -= 1
             return -value if tok == "-" else value
         if tok == "pi":
@@ -111,29 +195,7 @@ class _ExprParser:
         try:
             return float(tok)
         except ValueError:
-            self._fail(f"malformed parameter token '{tok}'")
-
-
-def _tokenize_line(text: str, line_no: int) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.start(1) != pos:
-            raise QasmError(
-                ParseDiagnostic(line_no, pos + 1, f"unexpected character {text[pos]!r}")
-            )
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _strip_comments(line: str) -> str:
-    idx = line.find("//")
-    return line if idx < 0 else line[:idx]
+            self.fail(f"malformed parameter token '{tok}'")
 
 
 def parse_qasm(
@@ -155,133 +217,27 @@ def parse_qasm(
     # includes carry string literals the tokenizer has no use for; drop them
     source = re.sub(r'include\s+"[^"]*"\s*;', "", source)
 
-    # split on ';' while tracking line numbers
-    statements: list[tuple[int, list[str]]] = []
-    pending: list[str] = []
-    pending_line = 1
-    for line_no, raw in enumerate(source.splitlines() or [""], start=1):
-        for tok in _tokenize_line(_strip_comments(raw), line_no):
-            if not pending:
-                pending_line = line_no
-            if tok == ";":
-                statements.append((pending_line, pending))
-                pending = []
-            else:
-                pending.append(tok)
-    if pending:
-        raise QasmError(
-            ParseDiagnostic(pending_line, 1, "statement not terminated by ';'")
-        )
+    tokens: list[str] = []
+    lines: list[int] = []
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        text = raw.partition("//")[0]
+        found = _TOKEN_RE.findall(text)
+        if found and not _TOKEN_ONLY_RE.fullmatch(found[-1]):
+            raise QasmError(ParseDiagnostic(
+                line_no, len(text) - len(found[-1]) + 1,
+                f"unexpected character {found[-1][0]!r}",
+            ))
+        tokens += found
+        lines += [line_no] * len(found)
 
-    if not statements or statements[0][1] != ["OPENQASM", "2", ".", "0"]:
-        # the float tokenizer may glue "2.0" into one token
-        if not statements or statements[0][1] not in (["OPENQASM", "2.0"],):
-            raise QasmError(ParseDiagnostic(1, 1, "missing 'OPENQASM 2.0;' header"))
-
-    qreg_name: str | None = None
-    num_qubits = 0
-    cregs: set[str] = set()
-    built: list[GateApplication] = []
-
-    def fail(line, msg):
-        raise QasmError(ParseDiagnostic(line, 1, msg))
-
-    def parse_arg(line, toks, start):
-        # IDENT [ INT ]
-        if (
-            start + 3 > len(toks)
-            or not toks[start].isidentifier()
-            or toks[start + 1] != "["
-            or toks[start + 3] != "]"
-        ):
-            fail(line, "expected argument of the form name[index]")
-        name, idx = toks[start], toks[start + 2]
-        if not idx.isdigit():
-            fail(line, f"malformed qubit index '{idx}'")
-        return name, int(idx), start + 4
-
-    for line_no, toks in statements[1:]:
-        head = toks[0]
-        if head in ("qreg", "creg"):
-            name, size, end = parse_arg(line_no, toks, 1)
-            if end != len(toks):
-                fail(line_no, f"trailing tokens after {head} declaration")
-            if head == "creg":
-                cregs.add(name)
-                continue
-            if qreg_name is not None:
-                fail(line_no, f"register '{name}' redeclared (single qreg supported)")
-            if size < 1:
-                fail(line_no, "qreg size must be >= 1")
-            qreg_name, num_qubits = name, size
-            continue
-        if head == "measure":
-            if qreg_name is None:
-                fail(line_no, "measure before qreg declaration")
-            diagnostics.append(
-                ParseDiagnostic(line_no, 1, "measurement stripped", "warning")
-            )
-            continue
-        if head == "barrier":
-            continue
-
-        # gate application
-        if head not in gates.CATALOG:
-            fail(line_no, f"unknown gate name '{head}'")
-        if qreg_name is None:
-            fail(line_no, "gate application before qreg declaration")
-        spec = gates.CATALOG[head]
-        pos = 1
-        params: tuple[float, ...] = ()
-        if pos < len(toks) and toks[pos] == "(":
-            depth, close = 1, pos + 1
-            while close < len(toks) and depth:
-                if toks[close] == "(":
-                    depth += 1
-                elif toks[close] == ")":
-                    depth -= 1
-                close += 1
-            if depth:
-                fail(line_no, "unbalanced parentheses in gate parameters")
-            inner = toks[pos + 1 : close - 1]
-            exprs: list[list[str]] = [[]]
-            d = 0
-            for tok in inner:
-                d += tok == "("
-                d -= tok == ")"
-                if tok == "," and d == 0:
-                    exprs.append([])
-                else:
-                    exprs[-1].append(tok)
-            params = tuple(
-                _ExprParser(e, line_no, 1).parse() for e in exprs if inner
-            )
-            pos = close
-        if len(params) != spec.num_params:
-            fail(line_no, f"gate '{head}' takes {spec.num_params} parameter(s)")
-
-        targets: list[int] = []
-        while pos < len(toks):
-            name, idx, pos = parse_arg(line_no, toks, pos)
-            if name != qreg_name:
-                fail(line_no, f"unknown register '{name}'")
-            if idx >= num_qubits:
-                fail(line_no, f"qubit index {idx} >= register size {num_qubits}")
-            targets.append(idx)
-            if pos < len(toks):
-                if toks[pos] != ",":
-                    fail(line_no, "expected ',' between gate arguments")
-                pos += 1
-        if len(targets) != spec.arity:
-            fail(line_no, f"gate '{head}' expects {spec.arity} qubit argument(s)")
-        try:
-            built.append(GateApplication(head, tuple(targets), params))
-        except ValueError as exc:
-            fail(line_no, str(exc))
-
-    if qreg_name is None:
-        raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
-    return Circuit(num_qubits, tuple(built))
+    if tokens and tokens[-1] != ";":
+        last = len(tokens) - tokens[::-1].index(";") if ";" in tokens else 0
+        raise QasmError(ParseDiagnostic(lines[last], 1, "statement not terminated by ';'"))
+    if tokens[:3] != ["OPENQASM", "2.0", ";"]:
+        raise QasmError(ParseDiagnostic(1, 1, "missing 'OPENQASM 2.0;' header"))
+    cursor = _Cursor(tokens, lines)
+    cursor.pos = 3
+    return cursor.program(diagnostics)
 
 
 def _format_param(value: float) -> str:

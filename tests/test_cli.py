@@ -278,6 +278,20 @@ class TestInputContract:
             {"kind": "rz", "targets": [0], "params": [float("inf")]}]},
         "param_past_float.json": {"num_qubits": 1, "gates": [
             {"kind": "rz", "targets": [0], "params": [10 ** 400]}]},
+        "matrix_bool.json": {"num_qubits": 1, "gates": [{
+            "kind": "unitary", "targets": [0],
+            "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        "matrix_inf.json": {"num_qubits": 1, "gates": [{
+            "kind": "unitary", "targets": [0],
+            "matrix": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        "matrix_huge.json": {"num_qubits": 1, "gates": [{
+            "kind": "unitary", "targets": [0],
+            "matrix": [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        "nested_arrays.json": "[" * 100_000,
+        "empty_statement.qasm": "OPENQASM 2.0;\nqreg q[1];\n;\n",
+        "unclosed_index.qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0;\n",
+        "trailing_comma.qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0],;\n",
+        "index_past_int_digits.qasm": "OPENQASM 2.0;\nqreg q[" + "9" * 5000 + "];\n",
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -286,6 +300,31 @@ class TestInputContract:
         path = tmp_path / name
         path.write_text(text if isinstance(text, str) else json.dumps(text))
         assert run_cli("parse", "--in", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, capsys):
+        # read_text raised UnicodeDecodeError, a ValueError, which exited 2
+        for name, data in (("bad.qasm", b"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n\xff\n"),
+                           ("bad.json", b'{"num_qubits": 1, "gates": []}\xff')):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert run_cli("parse", "--in", str(path)) == 3
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("amplitudes", [
+        [[True, 0], [0, 0]], [[float("inf"), 0], [0, 0]], [[1e300, 0], [1e300, 0]],
+        [[1, 0]], [[1], [0]], "10",
+    ])
+    def test_malformed_statevector_is_a_parse_error_not_a_fail_verdict(
+            self, files, tmp_path, capsys, amplitudes):
+        # [[true, 0], [0, 0]] read as |0>, so `h` against it exited 1
+        vec = tmp_path / "target.json"
+        vec.write_text(json.dumps({"amplitudes": amplitudes}))
+        h = tmp_path / "h.qasm"
+        h.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        assert run_cli("run", "--program", str(h), "--expected", str(vec),
+                       "--test", "statevector") == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.jsonio import (
     CircuitJsonError,
+    circuit_to_dict,
     emit_json,
     nearest_unitary,
     parse_json,
@@ -88,3 +90,48 @@ def test_simulated_equivalence_after_round_trip():
     s1 = run_statevector(c)
     s2 = run_statevector(parse_json(emit_json(c)))
     np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
+
+
+# Values of every JSON type, including the non-finite numbers json.dumps
+# writes as Infinity and NaN, for one-value edits of a circuit's object.
+JSON_VALUES = [
+    None, True, False, 0, 1, 2, -1, 0.5, 2**70, 1e300, float("inf"),
+    float("nan"), "h", "cx", "unitary", "", [], [0], [0, 1], [[1]], [[0, 0]],
+    [[[1, 0]]], {}, {"kind": "h", "targets": [0]},
+]
+
+
+def _slots(value):
+    """(container, key) of every value nested in `value`."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def edited_circuit_objects(draw):
+    circuit = random_circuit(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    hadamard = GateApplication("unitary", (0,), matrix=np.array(
+        [[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+    data = circuit_to_dict(circuit.appended(hadamard))
+    # half the edits land in the custom gate, the only one with a matrix
+    container, key = draw(st.one_of(st.sampled_from(list(_slots(data))),
+                                    st.sampled_from(list(_slots(data["gates"][-1])))))
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(st.sampled_from(JSON_VALUES))
+    return json.dumps(data)
+
+
+@given(edited_circuit_objects())
+@settings(max_examples=400, deadline=None)
+def test_structured_fuzz_rejects_with_json_error_or_round_trips(text):
+    try:
+        c = parse_json(text)
+    except CircuitJsonError:
+        return
+    assert parse_json(emit_json(c)).structurally_equal(c)

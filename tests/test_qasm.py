@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qut import gates
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import MAX_EXPR_DEPTH, QasmError, emit_qasm, parse_qasm
 
@@ -127,3 +129,50 @@ def test_round_trip_1000_random_circuits():
         assert again.structurally_equal(c), seed
         for g, g2 in zip(c.gates, again.gates):
             assert g.params == g2.params  # exact bits
+
+
+# The grammar's own tokens, so that programs built from them and one-token
+# edits of emitted circuits reach every statement rule, not only the
+# tokenizer that random bytes stop at.
+GRAMMAR_TOKENS = [
+    "OPENQASM", "2.0", "include", '"qelib1.inc"', "qreg", "creg", "measure",
+    "barrier", *gates.CATALOG, "q[0]", "q[1]", "q[2]", "c[0]", "q", "c", "[",
+    "]", "0", "1", "2", "0.5", ".5", "1e-3", "1e999", "pi", "+", "-", "*",
+    "/", "(", ")", ",", ";", "->", "//", "\n",
+]
+_SEPARATORS = ["", " ", "\n"]
+
+
+@st.composite
+def token_programs(draw):
+    prefix = draw(st.sampled_from(["", HEADER, HEADER + "qreg q[3];\n"]))
+    parts = draw(st.lists(st.tuples(st.sampled_from(GRAMMAR_TOKENS),
+                                    st.sampled_from(_SEPARATORS)), max_size=30))
+    return prefix + "".join(tok + sep for tok, sep in parts)
+
+
+@st.composite
+def edited_programs(draw):
+    circuit = random_circuit(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    pieces = [p for p in re.split(r"(\s+|[;,()\[\]])", emit_qasm(circuit)) if p]
+    at = draw(st.integers(0, len(pieces)))
+    token = draw(st.sampled_from(GRAMMAR_TOKENS))
+    edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if edit == "insert" or at == len(pieces):
+        pieces.insert(at, token)
+    else:
+        pieces[at:at + 1] = [] if edit == "delete" else [token]
+    return "".join(pieces)
+
+
+@given(st.one_of(token_programs(), edited_programs()))
+@settings(max_examples=400, deadline=None)
+def test_structured_fuzz_rejects_with_qasm_error_or_round_trips(source):
+    try:
+        c = parse_qasm(source)
+    except QasmError:
+        return
+    again = parse_qasm(emit_qasm(c))
+    assert again.structurally_equal(c)
+    assert [g.params for g in again.gates] == [g.params for g in c.gates]
