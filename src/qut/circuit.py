@@ -119,23 +119,48 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
     """Flat amplitudes (qubit 0 the least significant bit) after gates `gs`.
 
     The gate kernel: the state is one (2,)*n array whose axis a holds qubit
-    order[a].  Each gate transposes its targets to the front (most
-    significant first), reshapes to (2^k, -1), which copies once, and is
-    left-multiplied by the gate's matrix; the new axis order is recorded
-    instead of moving axes back.  One transpose restores the canonical order
-    at the end.  Targets are assumed in range, as a `Circuit` checks.
+    order[a], copied once on entry so that `amplitudes` is never written.
+    A gate whose matrix is a self-inverse 0/1 permutation (`gates.EXCHANGES`:
+    x, cx, swap, ccx, cswap) exchanges, for each of its index pairs, the two
+    2^(n-k)-amplitude sub-arrays those target values select, in place and
+    with the axis order unchanged.  Every other gate transposes its targets
+    to the front (most significant first), reshapes to (2^k, -1), which
+    copies once, and is left-multiplied by the gate's matrix; the new axis
+    order is recorded instead of moving axes back.  The two paths agree
+    exactly: each entry of a product with a 0/1 matrix is one amplitude
+    times 1 plus exact zeros.  One transpose restores the canonical order at
+    the end.  Targets are assumed in range, as a `Circuit` checks.
     """
     n = amplitudes.size.bit_length() - 1
     shape = (2,) * n
-    psi = amplitudes.reshape(shape)
+    psi = amplitudes.reshape(shape).copy()
     order = list(range(n - 1, -1, -1))
     for g in gs:
-        front = [order.index(q) for q in reversed(g.targets)]
-        perm = front + [a for a in range(n) if a not in front]
-        block = psi.transpose(perm).reshape(1 << len(front), -1)
-        psi = (g.unitary() @ block).reshape(shape)
-        order = [order[a] for a in perm]
+        pairs = gates.EXCHANGES.get(g.kind)
+        if pairs is not None:
+            axes = [order.index(q) for q in g.targets]
+            for i, j in pairs:
+                a, b = psi[_target_values(axes, i)], psi[_target_values(axes, j)]
+                held = a.copy()
+                a[...] = b
+                b[...] = held
+        else:
+            front = [order.index(q) for q in reversed(g.targets)]
+            perm = front + [a for a in range(n) if a not in front]
+            block = psi.transpose(perm).reshape(1 << len(front), -1)
+            psi = (g.unitary() @ block).reshape(shape)
+            order = [order[a] for a in perm]
     return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
+
+
+def _target_values(axes: list[int], index: int) -> tuple:
+    """Index selecting the sub-array where target j (on axis axes[j]) has the
+    value of bit j of `index`.  The trailing Ellipsis keeps a full index a
+    writable 0-d view instead of a scalar."""
+    idx: list = [slice(None)] * (max(axes) + 1)
+    for j, axis in enumerate(axes):
+        idx[axis] = (index >> j) & 1
+    return (*idx, Ellipsis)
 
 
 def compose(*circuits: Circuit, name: str = "") -> Circuit:

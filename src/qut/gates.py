@@ -146,6 +146,25 @@ def equivalence_class(kind: str) -> frozenset[str]:
     return _CLASS_OF[kind]
 
 
+def _exchanges(m: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """Index pairs that `m` exchanges when it is a 0/1 permutation matrix and
+    its own inverse; None for any other matrix."""
+    source = np.abs(m).argmax(axis=1)  # (m @ v)[i] = v[source[i]]
+    if (not np.array_equal(m, np.eye(len(m))[source])
+            or (source[source] != np.arange(len(m))).any()):
+        return None
+    return tuple((i, int(j)) for i, j in enumerate(source) if j > i)
+
+
+# Fixed catalog gates whose matrix is a self-inverse 0/1 permutation, with
+# the basis-index pairs each exchanges: applying such a gate moves amplitudes
+# and multiplies none, so `circuit.evolve` exchanges them in place.
+EXCHANGES: dict[str, tuple[tuple[int, int], ...]] = {
+    name: pairs for name, spec in CATALOG.items()
+    if spec.num_params == 0 and (pairs := _exchanges(spec.matrix_fn())) is not None
+}
+
+
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     spec = CATALOG[kind]
     if len(params) != spec.num_params:

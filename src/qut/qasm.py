@@ -214,8 +214,10 @@ def parse_qasm(
         except (TypeError, ValueError) as exc:
             raise QasmError(ParseDiagnostic(1, 1, f"undecodable input: {exc}"))
 
-    # includes carry string literals the tokenizer has no use for; drop them
-    source = re.sub(r'include\s+"[^"]*"\s*;', "", source)
+    # includes carry string literals the tokenizer has no use for; drop them,
+    # keeping their line breaks so that later lines keep their numbers
+    source = re.sub(r'include\s+"[^"]*"\s*;',
+                    lambda m: "\n" * (len(m[0].splitlines()) - 1), source)
 
     tokens: list[str] = []
     lines: list[int] = []

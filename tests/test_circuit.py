@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qut import gates
 from qut.circuit import (
     Circuit,
     GateApplication,
+    apply_gate,
     build_inverse_harness,
     build_swap_harness,
     compose,
+    evolve,
     invert_circuit,
     random_circuit,
 )
@@ -196,3 +200,58 @@ class TestRandomCircuit:
         for g in c.gates:
             for p in g.params:
                 assert 0.0 <= p < 2 * math.pi
+
+
+def _matmul_evolve(amplitudes, gs):
+    """Reference kernel: every gate, the permutation gates included, moves
+    its targets to the front and is left-multiplied by its matrix."""
+    n = amplitudes.size.bit_length() - 1
+    shape = (2,) * n
+    psi = amplitudes.reshape(shape)
+    order = list(range(n - 1, -1, -1))
+    for g in gs:
+        front = [order.index(q) for q in reversed(g.targets)]
+        perm = front + [a for a in range(n) if a not in front]
+        block = psi.transpose(perm).reshape(1 << len(front), -1)
+        psi = (g.unitary() @ block).reshape(shape)
+        order = [order[a] for a in perm]
+    return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
+
+
+_ROTATIONS = ("h", "rx", "ry", "rz", "p", "r", "crx", "cry", "cp")
+
+
+def _permutation_heavy_circuit(n: int, rng) -> tuple[GateApplication, ...]:
+    """Every permutation gate that fits n qubits at least once, mixed with as
+    many random ones and rotations, each on shuffled targets."""
+    fits = [k for k in sorted(gates.EXCHANGES) if gates.CATALOG[k].arity <= n]
+    rotations = [k for k in _ROTATIONS if gates.CATALOG[k].arity <= n]
+    kinds = fits + list(rng.choice(fits, size=2 * n)) + list(rng.choice(rotations, size=2 * n))
+    built = []
+    for kind in rng.permutation(kinds):
+        spec = gates.CATALOG[str(kind)]
+        targets = tuple(int(q) for q in rng.permutation(n)[:spec.arity])
+        built.append(GateApplication(str(kind), targets,
+                                     tuple(rng.uniform(0, 2 * np.pi, spec.num_params))))
+    return tuple(built)
+
+
+class TestExchangeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_matmul_kernel_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        psi.flags.writeable = False
+        before = psi.copy()
+        gs = _permutation_heavy_circuit(n, rng)
+        assert np.array_equal(evolve(psi, gs), _matmul_evolve(psi, gs))
+        assert np.array_equal(psi, before)
+
+    def test_read_only_state_is_left_unchanged(self):
+        # a full index on one qubit selects a single amplitude
+        state = StateVector.from_amplitudes(np.array([0.6, 0.8j]))
+        flipped = apply_gate(state, GateApplication("x", (0,)))
+        assert np.array_equal(flipped.amplitudes, [0.8j, 0.6])
+        assert np.array_equal(state.amplitudes, [0.6, 0.8j])

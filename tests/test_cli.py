@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qut
 from qut.circuit import Circuit, GateApplication, random_circuit
-from qut.cli import main
+from qut.cli import _TEST_NAMES, main
+from qut.jsonio import emit_json
 from qut.qasm import emit_qasm, parse_qasm
+from qut.simulator import MAX_SHOTS, run_statevector
 
 
 @pytest.fixture
@@ -435,3 +441,61 @@ class TestVerdictEvidence:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def _write_generated(directory: Path, name: str, n: int, depth: int, seed: int,
+                     form: str) -> str:
+    """A seeded random circuit on n qubits as QASM, as circuit JSON, or as
+    the statevector JSON of its output."""
+    c = random_circuit(n, depth, seed)
+    if form == "qasm":
+        path, text = directory / f"{name}.qasm", emit_qasm(c)
+    elif form == "json":
+        path, text = directory / f"{name}.json", emit_json(c)
+    else:
+        amplitudes = run_statevector(c).amplitudes
+        path = directory / f"{name}.json"
+        text = json.dumps({"amplitudes": [[a.real, a.imag] for a in amplitudes]})
+    path.write_text(text)
+    return str(path)
+
+
+def _circuit_file(forms):
+    return st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 16),
+                     st.sampled_from(forms))
+
+
+class TestRunContract:
+    """`qut run` on generated files and flags: every family ends in exit 0,
+    1, 2 or 3 without a traceback, and a program is its own expected state."""
+
+    @staticmethod
+    def _run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", *argv, "--mc-reps", "50"])
+        return code, err.getvalue()
+
+    # exact multinomial p-values enumerate every count vector, so valid shot
+    # counts stay small; 10^7 exercises its refusal, 0 and 2^63 the shot checks
+    @settings(max_examples=25, deadline=None)
+    @given(program=_circuit_file(["qasm", "json"]),
+           expected=_circuit_file(["qasm", "json", "state"]),
+           shots=st.one_of(st.integers(1, 6), st.sampled_from([0, 10 ** 7, 2 ** 63])),
+           seed=st.one_of(st.integers(0, 2 ** 64), st.just(-1)))
+    def test_every_family_ends_in_a_documented_exit_code(self, program, expected,
+                                                         shots, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            prog = _write_generated(Path(tmp), "program", *program)
+            exp = _write_generated(Path(tmp), "expected", *expected)
+            flags = ["--shots", str(shots), "--seed", str(seed)]
+            for test in sorted(_TEST_NAMES):
+                code, err = self._run("--program", prog, "--expected", exp,
+                                      "--test", test, *flags)
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (test, err)
+            valid = 1 <= shots <= MAX_SHOTS and seed >= 0
+            for test in ("swap", "inverse", "statevector"):
+                code, err = self._run("--program", prog, "--expected", prog,
+                                      "--test", test, *flags)
+                expect = (0,) if valid or test == "statevector" else (0, 2)
+                assert code in expect, (test, code, err)

@@ -100,3 +100,26 @@ def test_unknown_gate_rejected():
 
 def test_is_unitary_rejects_defect():
     assert not gates.is_unitary(np.array([[1, 0], [0, 0.999]], dtype=complex))
+
+
+def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
+    # `circuit.evolve` exchanges amplitudes in place for the kinds in
+    # EXCHANGES, so a kind there must be a fixed 0/1 permutation, and every
+    # such catalog kind must be there: one that is not its own inverse has
+    # no exchange pairs and fails here until the kernel learns to cycle
+    def is_permutation(m):
+        return (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+                and (m.sum(axis=1) == 1).all())
+
+    fixed = [name for name, spec in gates.CATALOG.items() if spec.num_params == 0]
+    assert set(gates.EXCHANGES) == {
+        name for name in fixed if is_permutation(gates.gate_matrix(name))}
+    for name, pairs in gates.EXCHANGES.items():
+        m = gates.gate_matrix(name)
+        rebuilt = np.eye(len(m), dtype=complex)
+        for i, j in pairs:
+            rebuilt[[i, j]] = rebuilt[[j, i]]
+        assert np.array_equal(rebuilt, m), name
+    assert gates.EXCHANGES == {
+        "id": (), "x": ((0, 1),), "cx": ((1, 3),), "swap": ((1, 2),),
+        "ccx": ((3, 7),), "cswap": ((3, 5),)}

@@ -23,6 +23,16 @@ def test_include_line_ignored():
     assert c.gates[0].kind == "cx"
 
 
+@pytest.mark.parametrize("include", ['include\n"qelib1.inc";',
+                                     'include\r\n"qe\nlib1.inc"\r;'])
+def test_lines_after_a_multiline_include_keep_their_numbers(include):
+    # the include's line breaks must survive its removal, or the error is
+    # reported lines early
+    frob_line = len(f"{HEADER}{include}".splitlines()) + 2
+    with pytest.raises(QasmError, match=rf"^line {frob_line}, col 1: unknown gate"):
+        parse_qasm(f"{HEADER}{include}\nqreg q[1];\nfrob q[0];")
+
+
 def test_parameter_expression_pi_over_180():
     c = parse_qasm(HEADER + "qreg q[3];\nrx(pi/180) q[2];\n")
     g = c.gates[0]
