@@ -14,7 +14,6 @@ from .shots import ShotEstimate, estimate_shots, estimate_shots_for_pair, qcb_ex
 from .testing import (
     TestVerdict,
     inverse_test,
-    mc_statistical_test,
     statevector_test,
     statistical_test,
     swap_test,
@@ -42,7 +41,6 @@ __all__ = [
     "estimate_shots_for_pair",
     "qcb_exponent",
     "statistical_test",
-    "mc_statistical_test",
     "swap_test",
     "statevector_test",
     "inverse_test",

@@ -33,7 +33,6 @@ from .testing import (
     MultinomialIntractableError,
     first_failure_under_law,
     gof_statistic,
-    mc_p_value,
     statevector_verdict,
     statistical_p_value,
     _support,
@@ -61,21 +60,6 @@ def dense_rank(values: Sequence[int | None]) -> list[int]:
     rank_of = {v: i + 1 for i, v in enumerate(distinct)}
     last = len(distinct) + 1 if any(v is None for v in values) else None
     return [rank_of[v] if v is not None else last for v in values]
-
-
-def _p_value_at(
-    prefix_counts: np.ndarray,
-    probs: np.ndarray,
-    kind: str,
-    mc_reps: int,
-    seed: int,
-    shots: int,
-) -> float:
-    if kind in STAT_KINDS:
-        return statistical_p_value(prefix_counts, probs, kind)
-    # Monte Carlo kinds: empirical p-value with a seed derived per shot count
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shots, 0x4D43]))
-    return mc_p_value(prefix_counts, probs, kind, mc_reps, rng)
 
 
 # A scan block holds at most this many (prefix, outcome) counts, so the
@@ -174,8 +158,9 @@ def min_shots_statistical(
     counts = np.zeros(len(expected_probs), dtype=np.int64)
     for s, value in enumerate(stream_values[:cap], start=1):
         counts[value] += 1
-        if _p_value_at(counts, expected_probs, kind, mc_reps, seed,
-                       s) < p_threshold:
+        # a Monte Carlo kind draws from a seed derived per prefix length
+        if statistical_p_value(counts, expected_probs, kind, mc_reps,
+                               [seed, s, 0x4D43]) < p_threshold:
             return s
     return None
 

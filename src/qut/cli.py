@@ -20,7 +20,6 @@ from .testing import (
     DEFAULT_TOLERANCE,
     ExpectedSpec,
     inverse_test,
-    mc_statistical_test,
     statevector_test,
     statistical_test,
     swap_test,
@@ -81,15 +80,9 @@ def _cmd_run(args) -> int:
         verdict = swap_test(w, program, expected, args.shots, args.seed)
     elif test == "inverse":
         verdict = inverse_test(w, program, expected, args.shots, args.seed)
-    elif test.startswith("mc_"):
-        verdict = mc_statistical_test(
-            w, program, expected, args.shots, args.p_value, test,
-            args.mc_reps, args.seed,
-        )
     else:
-        verdict = statistical_test(
-            w, program, expected, args.shots, args.p_value, test, args.seed
-        )
+        verdict = statistical_test(w, program, expected, args.shots,
+                                   args.p_value, test, args.seed, args.mc_reps)
     detail = {
         "outcome": verdict.outcome,
         "p_value": verdict.p_value,

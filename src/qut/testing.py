@@ -3,7 +3,10 @@ variants), Swap, Statevector, and Inverse.
 
 Each test runs the input preparation W and the program under test U on the
 embedded simulator and asserts on the outcome against the expected state.
-The statistical tests sample the measured distribution of W.U.  The swap and
+The statistical tests sample the measured distribution of W.U: one verdict,
+`statistical_test`, and one p-value, `statistical_p_value`, serve all six
+kinds (`STAT_KINDS` and the Monte Carlo `MC_KINDS`), and the bench's
+per-prefix scan calls the same p-value.  The swap and
 inverse tests sample their per-shot outcome law, a function of the fidelity
 F = |<psi_E|psi_A>|^2 alone (`first_failure_under_law`); the harness circuits
 that realize those laws on hardware are built by `circuit.build_swap_harness`
@@ -124,64 +127,60 @@ def _support(probs: np.ndarray) -> np.ndarray:
     return probs >= PROB_FLOOR  # the outcomes `multinomial_counts` can draw
 
 
-def _on_support(counts: np.ndarray, probs: np.ndarray):
-    """The support rule of every goodness-of-fit p-value: p = 0.0 for a count
-    outside the expected support, p = 1.0 for a one-outcome support, else the
-    float counts on the support and the probabilities renormalized over it."""
+def statistical_p_value(
+    counts: np.ndarray,
+    probs: np.ndarray,
+    kind: str,
+    mc_reps: int = 1000,
+    mc_seed: list[int] | None = None,
+) -> float:
+    """Goodness-of-fit p-value of observed counts against expected
+    probabilities, both indexed by basis state, for any of the six kinds.
+
+    The support rule: a count outside the expected support gives p = 0.0, a
+    one-outcome support p = 1.0, and otherwise the K outcomes of the support
+    are compared with the probabilities renormalized over it.  The chi2 and
+    G tails are `chdtrc(K - 1, stat)`, with a statistic that rounds below
+    zero read as 0; `multinomial` is exact.  A Monte Carlo kind's p is the
+    share of `mc_reps` count vectors, drawn from `default_rng(mc_seed)`,
+    scoring at most the observed one (no continuity correction): the score
+    is the chi2 or G tail, or the multinomial log-pmf.
+    """
+    from scipy.special import chdtrc
+
     support = _support(probs)
     if counts[~support].sum() > 0:
         return 0.0
     if support.sum() == 1:
         return 1.0
-    return counts[support].astype(float), probs[support] / probs[support].sum()
-
-
-def statistical_p_value(
-    counts: np.ndarray, probs: np.ndarray, kind: str
-) -> float:
-    """Goodness-of-fit p-value of observed counts against expected probabilities.
-
-    Counts and probs are indexed by basis state; `_on_support` decides the
-    out-of-support and single-category cases.  The chi2 and G tails are
-    `chdtrc(K - 1, stat)`, with a statistic that rounds below zero read as 0.
-    """
-    from scipy.special import chdtrc
-
-    reduced = _on_support(counts, probs)
-    if isinstance(reduced, float):
-        return reduced
-    obs, p = reduced
+    obs = counts[support].astype(float)
+    p = probs[support] / probs[support].sum()
+    shots = int(counts.sum())
+    expected_counts = shots * p
     if kind in ("chi2", "g_test"):
-        stat = gof_statistic(obs, int(counts.sum()) * p, kind)
+        stat = gof_statistic(obs, expected_counts, kind)
         return float(chdtrc(len(p) - 1, max(stat, 0.0)))
     if kind == "multinomial":
         return exact_multinomial_p_value(obs.astype(np.int64), p)
-    raise ValueError(f"unknown statistical kind '{kind}'")
+    if kind not in MC_KINDS:
+        raise ValueError(f"unknown statistical kind '{kind}'")
+
+    def score(rows: np.ndarray) -> np.ndarray:  # lower = more extreme
+        if kind == "mc_multinomial":
+            return _multinomial_logpmf(rows, shots, p)
+        stat = gof_statistic(rows, expected_counts, kind)
+        return chdtrc(len(p) - 1, np.maximum(stat, 0.0))
+
+    synthetic = np.random.default_rng(mc_seed).multinomial(shots, p, size=mc_reps)
+    observed = score(obs[None, :])[0]
+    return float((score(synthetic.astype(float)) <= observed + 1e-12).sum() / mc_reps)
 
 
-def _check_shots(shots: int) -> None:
+def _check_draw(shots: int, seed: int) -> None:
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-
-
-def _check_statistical_args(shots: int, p_threshold: float, kind: str,
-                            kinds: tuple[str, ...]) -> None:
-    _check_shots(shots)
-    if not 0.0 < p_threshold < 1.0:
-        raise ValueError("p threshold must lie in (0, 1)")
-    if kind not in kinds:
-        raise ValueError(f"kind must be one of {kinds}")
-
-
-def _sampled_counts(
-    w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of `shots` seeded measurements of W.U, and |psi_E>'s
-    distribution, both by basis state; widths are checked before any draw."""
-    actual = run_statevector(compose(w, u))
-    target = expected_state(expected)
-    check_same_width(actual, target)
-    return multinomial_counts(actual.probabilities(), shots, seed), target.probabilities()
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def statistical_test(
@@ -192,76 +191,30 @@ def statistical_test(
     p_threshold: float,
     kind: str,
     seed: int,
+    mc_reps: int = 1000,
 ) -> TestVerdict:
-    """Sample W.U and compare the histogram with |psi_E>'s distribution."""
-    _check_statistical_args(shots, p_threshold, kind, STAT_KINDS)
-    counts, probs = _sampled_counts(w, u, expected, shots, seed)
-    p = statistical_p_value(counts, probs, kind)
+    """Sample W.U `shots` times and compare the histogram with |psi_E>'s
+    distribution by `statistical_p_value`.  A Monte Carlo kind draws its
+    `mc_reps` synthetic histograms from the seed sequence [seed, 0x4D43]."""
+    _check_draw(shots, seed)
+    if not 0.0 < p_threshold < 1.0:
+        raise ValueError("p threshold must lie in (0, 1)")
+    if kind not in STAT_KINDS + MC_KINDS:
+        raise ValueError(f"kind must be one of {STAT_KINDS + MC_KINDS}")
+    if kind in MC_KINDS and mc_reps < 1:
+        raise ValueError("mc_reps must be >= 1")
+    actual = run_statevector(compose(w, u))
+    target = expected_state(expected)
+    check_same_width(actual, target)  # before any draw
+    counts = multinomial_counts(actual.probabilities(), shots, seed)
+    p = statistical_p_value(counts, target.probabilities(), kind, mc_reps,
+                            [seed, 0x4D43])  # "MC"
     warns = ()
-    if shots < PEARSON_MIN_SHOTS:
+    if kind in ("chi2", "g_test") and shots < PEARSON_MIN_SHOTS:
         warns = (f"fewer than {PEARSON_MIN_SHOTS} observations; "
                  "the asymptotic p-value is unreliable",)
     return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p,
                        warnings=warns)
-
-
-def _discrepancy_scores(
-    synthetic: np.ndarray, expected_counts: np.ndarray, probs: np.ndarray, kind: str
-) -> np.ndarray:
-    """Per-row score for MC comparison; lower = more extreme."""
-    from scipy.special import chdtrc
-
-    if kind in ("mc_chi2", "mc_g"):
-        stat = gof_statistic(synthetic, expected_counts, kind)
-        return chdtrc(len(probs) - 1, np.maximum(stat, 0.0))
-    if kind == "mc_multinomial":
-        return _multinomial_logpmf(synthetic, int(synthetic[0].sum()), probs)
-    raise ValueError(f"unknown Monte Carlo kind '{kind}'")
-
-
-def mc_p_value(
-    counts: np.ndarray,
-    probs: np.ndarray,
-    kind: str,
-    repetitions: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical p-value of observed counts against expected probabilities.
-
-    p is (number of `repetitions` synthetic count vectors, drawn from `probs`
-    with `rng`, at least as extreme as observed) / repetitions, with no
-    continuity correction.  The support rule `_on_support` applies.
-    """
-    reduced = _on_support(counts, probs)
-    if isinstance(reduced, float):
-        return reduced
-    obs, p_sup = reduced
-    shots = int(counts.sum())
-    expected_counts = shots * p_sup
-    observed = _discrepancy_scores(obs[None, :], expected_counts, p_sup, kind)[0]
-    synthetic = rng.multinomial(shots, p_sup, size=repetitions).astype(float)
-    scores = _discrepancy_scores(synthetic, expected_counts, p_sup, kind)
-    return float((scores <= observed + 1e-12).sum() / repetitions)
-
-
-def mc_statistical_test(
-    w: Circuit,
-    u: Circuit,
-    expected: ExpectedSpec,
-    shots: int,
-    p_threshold: float,
-    kind: str,
-    repetitions: int,
-    seed: int,
-) -> TestVerdict:
-    """Monte Carlo statistical test: `mc_p_value` of W.U's sampled histogram."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    _check_statistical_args(shots, p_threshold, kind, MC_KINDS)
-    counts, probs = _sampled_counts(w, u, expected, shots, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4D43]))  # "MC"
-    p = mc_p_value(counts, probs, kind, repetitions, rng)
-    return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p)
 
 
 def failure_probability(test: str, f: float) -> float:
@@ -288,7 +241,7 @@ def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int |
 def _law_verdict(
     test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
-    _check_shots(shots)
+    _check_draw(shots, seed)
     actual, target = run_statevector(compose(w, u)), expected_state(expected)
     f = fidelity(actual, target)
     if statevector_verdict(actual, target).passed:

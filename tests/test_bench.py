@@ -82,7 +82,8 @@ class TestMinShots:
         k = len(probs)
         for s in range(1, cap + 1):
             counts = np.bincount(vals[:s], minlength=k)
-            if bench._p_value_at(counts, probs, kind, mc_reps, seed, s) < p_t:
+            if statistical_p_value(counts, probs, kind, mc_reps,
+                                   [seed, s, 0x4D43]) < p_t:
                 return s
         return None
 

@@ -17,6 +17,7 @@ from qut.cli import _TEST_NAMES, main
 from qut.jsonio import emit_json
 from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import MAX_SHOTS, run_statevector
+from qut.testing import statevector_verdict
 
 
 @pytest.fixture
@@ -128,6 +129,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: shots must lie in")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("test", ["chi2", "g", "multinomial", "mc-chi2",
+                                      "mc-g", "mc-multinomial", "swap",
+                                      "inverse"])
+    def test_negative_seed_is_two_before_any_simulation(self, files, monkeypatch,
+                                                        capsys, test):
+        # a program given as its own expected state: swap and inverse would
+        # pass without a draw, so only the seed check can reject it
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the seed")
+
+        monkeypatch.setattr("qut.testing.run_statevector", no_simulation)
+        assert run_cli("run", "--program", files["bell"], "--expected",
+                       files["bell"], "--test", test, "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be >= 0")
         assert "Traceback" not in captured.err
 
     def test_multinomial_refusal_draws_no_shot_stream(self, tmp_path,
@@ -387,6 +406,18 @@ class TestVerdictEvidence:
             assert out["failure_probability"] == 0.0
             assert "first_failure_shot" not in out
 
+    def test_only_asymptotic_p_values_warn_of_few_observations(self, tmp_path,
+                                                               capsys):
+        # the exact multinomial p-value holds at 5 shots; chi2 and G do not
+        h = tmp_path / "h.qasm"
+        h.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        for test, warns in (("multinomial", False), ("mc-multinomial", False),
+                            ("chi2", True), ("g", True)):
+            assert run_cli("run", "--program", str(h), "--expected", str(h),
+                           "--test", test, "--shots", "5") in (0, 1)
+            out = json.loads(capsys.readouterr().out)
+            assert ("warnings" in out) == warns, (test, out)
+
     def test_verdicts_without_statistics_do_not_import_scipy(self, files):
         # a fresh interpreter: swap, inverse and statevector verdicts, parse
         # and mutate leave scipy unloaded
@@ -445,9 +476,13 @@ class TestVerdictEvidence:
 
 def _write_generated(directory: Path, name: str, n: int, depth: int, seed: int,
                      form: str) -> str:
-    """A seeded random circuit on n qubits as QASM, as circuit JSON, or as
-    the statevector JSON of its output."""
-    c = random_circuit(n, depth, seed)
+    """A seeded random circuit on n qubits, written by `_write_circuit`."""
+    return _write_circuit(directory, name, random_circuit(n, depth, seed), form)
+
+
+def _write_circuit(directory: Path, name: str, c: Circuit, form: str) -> str:
+    """`c` as QASM, as circuit JSON, or as the statevector JSON of its
+    output."""
     if form == "qasm":
         path, text = directory / f"{name}.qasm", emit_qasm(c)
     elif form == "json":
@@ -465,9 +500,29 @@ def _circuit_file(forms):
                      st.sampled_from(forms))
 
 
+def _same_state_variant(c: Circuit, edits) -> Circuit:
+    """`c` with each edit (kind, position fraction, seed) applied: "pair"
+    inserts a random gate followed by its inverse, "phase" a 2 pi rotation,
+    which is -I on its qubit and so a global phase of -1 on the state."""
+    gates = list(c.gates)
+    for kind, where, seed in edits:
+        at = round(where * len(gates))
+        if kind == "pair":
+            g = random_circuit(c.num_qubits, 1, seed).gates[0]
+            gates[at:at] = [g, g.inverse()]
+        else:
+            axis = ("rx", "ry", "rz")[seed % 3]
+            gates.insert(at, GateApplication(axis, (seed % c.num_qubits,),
+                                             (2 * np.pi,)))
+    return Circuit(c.num_qubits, tuple(gates))
+
+
 class TestRunContract:
     """`qut run` on generated files and flags: every family ends in exit 0,
-    1, 2 or 3 without a traceback, and a program is its own expected state."""
+    1, 2 or 3 without a traceback, and a program is its own expected state.
+    A program that differs from the expected circuit only by a global phase
+    or a self-cancelling gate pair passes the "same state?" predicate, and
+    swap, inverse and statevector never fail it (exit 1)."""
 
     @staticmethod
     def _run(*argv):
@@ -497,5 +552,33 @@ class TestRunContract:
             for test in ("swap", "inverse", "statevector"):
                 code, err = self._run("--program", prog, "--expected", prog,
                                       "--test", test, *flags)
-                expect = (0,) if valid or test == "statevector" else (0, 2)
-                assert code in expect, (test, code, err)
+                expect = 0 if valid or test == "statevector" else 2
+                assert code == expect, (test, code, err)
+
+    # shots at the int64 limit make any draw at q ~ 1e-16 fail: only the
+    # predicate keeps a pair whose F rounds below 1 from a fail verdict
+    @settings(max_examples=40, deadline=None)
+    @given(original=st.tuples(st.integers(1, 3), st.integers(1, 4),
+                              st.integers(0, 2 ** 16)),
+           edits=st.lists(st.tuples(st.sampled_from(["pair", "phase"]),
+                                    st.floats(0, 1), st.integers(0, 2 ** 16)),
+                          min_size=1, max_size=3),
+           forms=st.tuples(st.sampled_from(["qasm", "json"]),
+                           st.sampled_from(["qasm", "json", "state"])),
+           shots=st.one_of(st.just(MAX_SHOTS), st.integers(1, MAX_SHOTS)),
+           seed=st.integers(0, 2 ** 64))
+    def test_a_same_state_pair_never_exits_one(self, original, edits, forms,
+                                               shots, seed):
+        expected = random_circuit(*original)
+        program = _same_state_variant(expected, edits)
+        assert statevector_verdict(run_statevector(program),
+                                   run_statevector(expected)).passed
+        with tempfile.TemporaryDirectory() as tmp:
+            prog = _write_circuit(Path(tmp), "program", program, forms[0])
+            exp = _write_circuit(Path(tmp), "expected", expected, forms[1])
+            for test in ("swap", "inverse", "statevector"):
+                code, err = self._run(
+                    "--program", prog, "--expected", exp, "--test", test,
+                    "--shots", str(shots), "--seed", str(seed))
+                assert code == 0, (test, code, err)
+

@@ -16,7 +16,7 @@ from qut.simulator import (
     run_statevector,
     sample_from_probs,
 )
-from qut.testing import mc_statistical_test
+from qut.testing import statistical_test
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -108,8 +108,8 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         # the sampled tests reject an empty stream before drawing
         with pytest.raises(ValueError):
-            mc_statistical_test(Circuit(1), Circuit(1), Circuit(1), 0, 0.05,
-                                "mc_chi2", 10, seed=0)
+            statistical_test(Circuit(1), Circuit(1), Circuit(1), 0, 0.05,
+                             "mc_chi2", seed=0, mc_reps=10)
 
     def test_histogram_consistency(self):
         c = Circuit(2, (GateApplication("h", (0,)),

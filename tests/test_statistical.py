@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qut import bench
 from qut.circuit import Circuit, GateApplication
-from qut.simulator import multinomial_counts, run_statevector
+from qut.simulator import (
+    multinomial_counts,
+    run_statevector,
+    sample_from_probs,
+)
 from qut.testing import (
     MC_KINDS,
     MultinomialIntractableError,
@@ -14,8 +19,6 @@ from qut.testing import (
     first_failure_under_law,
     gof_statistic,
     inverse_test,
-    mc_p_value,
-    mc_statistical_test,
     statistical_p_value,
     statistical_test,
     swap_test,
@@ -62,8 +65,7 @@ class TestStatistics:
         assert gof_statistic(counts.astype(float), expected, "g_test") < 0
         for kind in ("chi2", "g_test"):
             assert statistical_p_value(counts, probs, kind) == 1.0
-        rng = np.random.default_rng(0)
-        assert mc_p_value(counts, probs, "mc_g", 200, rng) == 1.0
+        assert statistical_p_value(counts, probs, "mc_g", 200, [0]) == 1.0
 
     def test_p_value_against_scipy(self):
         counts = np.array([480, 520])
@@ -154,16 +156,12 @@ class TestStatisticalTest:
                        for k in x],
         }
         for kind in ("chi2", "g_test", "mc_chi2"):
-            if kind in MC_KINDS:
-                a = 0.05
-                run = lambda seed: mc_statistical_test(
-                    EMPTY_1Q, ry, ry, shots, 0.05, kind, 1000, seed=seed)
-            else:
-                a = pmf[np.array(scipy_p[kind]) < 0.05].sum()
-                run = lambda seed: statistical_test(
-                    EMPTY_1Q, ry, ry, shots, 0.05, kind, seed=seed)
+            a = (0.05 if kind in MC_KINDS
+                 else pmf[np.array(scipy_p[kind]) < 0.05].sum())
             alarms = stats.binom(seeds, a)
-            fails = sum(not run(seed).passed for seed in range(seeds))
+            fails = sum(not statistical_test(EMPTY_1Q, ry, ry, shots, 0.05, kind,
+                                             seed=seed).passed
+                        for seed in range(seeds))
             assert alarms.ppf(1e-6) <= fails <= alarms.isf(1e-6), (kind, fails)
 
     def test_impossible_outcome_fails_with_p_zero(self):
@@ -173,9 +171,12 @@ class TestStatisticalTest:
         assert not v.passed and v.p_value == 0.0
 
     def test_pearson_floor_warning(self):
-        v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 12, 0.05,
-                             "chi2", seed=4)
-        assert v.warnings
+        # only chi2 and G rely on the asymptotic chi-square tail; the exact
+        # multinomial and Monte Carlo p-values hold at any shot count
+        for kind in STAT_KINDS + MC_KINDS:
+            v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 12, 0.05,
+                                 kind, seed=4, mc_reps=50)
+            assert bool(v.warnings) == (kind in ("chi2", "g_test")), kind
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
@@ -203,40 +204,40 @@ class TestStatisticalTest:
 class TestMonteCarlo:
     def test_correct_program_mostly_passes(self):
         passes = sum(
-            mc_statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 500, 0.05,
-                                "mc_chi2", 1000, seed=s).passed
+            statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 500, 0.05,
+                             "mc_chi2", seed=s, mc_reps=1000).passed
             for s in range(200)
         )
         # pass rate approx 1 - p_t with MC standard error ~0.007
         assert passes / 200 >= 0.90
 
     def test_modal_observation_p_near_one(self):
-        v = mc_statistical_test(EMPTY_1Q, EMPTY_1Q, EMPTY_1Q, 100, 0.05,
-                                "mc_multinomial", 500, seed=1)
+        v = statistical_test(EMPTY_1Q, EMPTY_1Q, EMPTY_1Q, 100, 0.05,
+                             "mc_multinomial", seed=1, mc_reps=500)
         assert v.passed and v.p_value == pytest.approx(1.0)
 
     def test_impossible_outcome_fails(self):
-        v = mc_statistical_test(EMPTY_1Q, H_CIRCUIT, EMPTY_1Q, 100, 0.05,
-                                "mc_g", 500, seed=1)
+        v = statistical_test(EMPTY_1Q, H_CIRCUIT, EMPTY_1Q, 100, 0.05,
+                             "mc_g", seed=1, mc_reps=500)
         assert not v.passed and v.p_value == 0.0
 
     def test_empirical_p_is_count_over_m(self):
-        v = mc_statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 200, 0.05,
-                                "mc_chi2", 137, seed=3)
+        v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 200, 0.05,
+                             "mc_chi2", seed=3, mc_reps=137)
         assert v.p_value is not None
         assert abs(v.p_value * 137 - round(v.p_value * 137)) < 1e-9
 
     def test_all_mc_kinds_run(self):
         for kind in MC_KINDS:
-            v = mc_statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 100, 0.05,
-                                    kind, 200, seed=2)
+            v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 100, 0.05,
+                                 kind, seed=2, mc_reps=200)
             assert v.outcome in ("pass", "fail")
 
     def test_wrong_distribution_detected(self):
         x = Circuit(1, (GateApplication("x", (0,)),))
         for kind in MC_KINDS:
-            v = mc_statistical_test(EMPTY_1Q, x, H_CIRCUIT, 2000, 0.05,
-                                    kind, 500, seed=2)
+            v = statistical_test(EMPTY_1Q, x, H_CIRCUIT, 2000, 0.05,
+                                 kind, seed=2, mc_reps=500)
             assert not v.passed, kind
 
 
@@ -260,6 +261,35 @@ class TestStreamContract:
         v = statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 10 ** 7, 0.05,
                              "chi2", seed=0)
         assert v.p_value == pytest.approx(0.20840837346703991, rel=1e-9)
+
+    @staticmethod
+    def _h_ry(theta):
+        return Circuit(2, (GateApplication("h", (0,)),
+                           GateApplication("ry", (1,), (theta,))))
+
+    def test_seeded_monte_carlo_p_values_are_pinned(self):
+        # ry(0.75) against ry(0.7) at 1000 shots; the synthetic histograms
+        # come from the seed sequence [seed, 0x4D43]
+        pinned = {"mc_chi2": (0.18, 0.768, 0.135),
+                  "mc_g": (0.198, 0.766, 0.165),
+                  "mc_multinomial": (0.183, 0.751, 0.138)}
+        for kind, p_values in pinned.items():
+            for seed, p in enumerate(p_values):
+                v = statistical_test(Circuit(2), self._h_ry(0.75), self._h_ry(0.7),
+                                     1000, 0.05, kind, seed=seed)
+                assert v.p_value == p, (kind, seed)
+
+    def test_bench_monte_carlo_crossing_is_pinned(self):
+        # the bench's per-prefix scan: prefix s draws its synthetic
+        # histograms from the seed sequence [seed, s, 0x4D43]
+        probs = run_statevector(self._h_ry(0.7)).probabilities()
+        mutant = run_statevector(self._h_ry(0.9)).probabilities()
+        pinned = {("mc_chi2", 5): 29, ("mc_g", 6): 44, ("mc_multinomial", 7): 78}
+        for (kind, seed), crossing in pinned.items():
+            values = sample_from_probs(mutant, 2000, seed)
+            assert bench.min_shots_statistical(
+                values, probs, kind, 0.05, 2000, seed=seed, mc_reps=200
+            ) == crossing, (kind, seed)
 
 
 class TestLawStreamContract:
