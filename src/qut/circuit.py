@@ -22,34 +22,35 @@ class GateApplication:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate targets in {self.kind}: {self.targets}")
-        if any(q < 0 for q in self.targets):
-            raise IndexError(f"gate {self.kind} targets {self.targets}: a "
+        kind = self.kind
+        targets = tuple(map(int, self.targets))
+        params = tuple(map(float, self.params))
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "params", params)
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate targets in {kind}: {targets}")
+        if targets and min(targets) < 0:
+            raise IndexError(f"gate {kind} targets {targets}: a "
                              "negative qubit index is out of range")
-        if self.kind == gates.CUSTOM:
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (1 << len(self.targets), 1 << len(self.targets)):
-                raise ValueError("custom matrix shape does not match target count")
-            if not gates.is_unitary(m):
-                raise ValueError("custom matrix is not unitary within 1e-10")
-            m = m.copy()
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
-        else:
-            spec = gates.CATALOG.get(self.kind)
-            if spec is None:
-                raise ValueError(f"unknown gate kind '{self.kind}'")
-            if len(self.targets) != spec.arity:
+        spec = gates.CATALOG.get(kind)
+        if spec is not None:
+            if len(targets) != spec.arity:
                 raise ValueError(
-                    f"gate '{self.kind}' has arity {spec.arity}, got {len(self.targets)} targets"
+                    f"gate '{kind}' has arity {spec.arity}, got {len(targets)} targets"
                 )
-            if len(self.params) != spec.num_params:
-                raise ValueError(
-                    f"gate '{self.kind}' takes {spec.num_params} parameter(s)"
-                )
+            if len(params) != spec.num_params:
+                raise ValueError(f"gate '{kind}' takes {spec.num_params} parameter(s)")
+            return
+        if kind != gates.CUSTOM:
+            raise ValueError(f"unknown gate kind '{kind}'")
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (1 << len(targets), 1 << len(targets)):
+            raise ValueError("custom matrix shape does not match target count")
+        if not gates.is_unitary(m):
+            raise ValueError("custom matrix is not unitary within 1e-10")
+        m = m.copy()
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def unitary(self) -> np.ndarray:
         if self.kind == gates.CUSTOM:
@@ -90,7 +91,7 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         for g in self.gates:
-            if any(q >= self.num_qubits for q in g.targets):
+            if g.targets and max(g.targets) >= self.num_qubits:
                 raise IndexError(
                     f"gate {g.kind} targets {g.targets} exceed register of "
                     f"{self.num_qubits} qubits"
@@ -123,24 +124,35 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
     A gate whose matrix is a self-inverse 0/1 permutation (`gates.EXCHANGES`:
     x, cx, swap, ccx, cswap) exchanges, for each of its index pairs, the two
     2^(n-k)-amplitude sub-arrays those target values select, in place and
-    with the axis order unchanged.  Every other gate transposes its targets
-    to the front (most significant first), reshapes to (2^k, -1), which
-    copies once, and is left-multiplied by the gate's matrix; the new axis
-    order is recorded instead of moving axes back.  The two paths agree
-    exactly: each entry of a product with a 0/1 matrix is one amplitude
-    times 1 plus exact zeros.  One transpose restores the canonical order at
-    the end.  Targets are assumed in range, as a `Circuit` checks.
+    with the axis order unchanged.  It selects them from a view in which each
+    target axis stands alone between merged runs of the other axes, so each
+    copy runs over at most k + 1 strides instead of up to n - k 2-wide
+    dimensions; the view's shape and the selections depend only on the gate
+    kind and the targets' axes, so each combination is worked out once per
+    call.  Every other gate transposes its targets to the front (most
+    significant first), reshapes to (2^k, -1), which copies once, and is
+    left-multiplied by the gate's matrix; the new axis order is recorded
+    instead of moving axes back.  The two paths agree exactly: each entry of
+    a product with a 0/1 matrix is one amplitude times 1 plus exact zeros.
+    One transpose restores the canonical order at the end.  Targets are
+    assumed in range, as a `Circuit` checks.
     """
     n = amplitudes.size.bit_length() - 1
     shape = (2,) * n
     psi = amplitudes.reshape(shape).copy()
     order = list(range(n - 1, -1, -1))
+    exchanges: dict[tuple, tuple] = {}
     for g in gs:
         pairs = gates.EXCHANGES.get(g.kind)
         if pairs is not None:
-            axes = [order.index(q) for q in g.targets]
-            for i, j in pairs:
-                a, b = psi[_target_values(axes, i)], psi[_target_values(axes, j)]
+            key = (g.kind, *map(order.index, g.targets))
+            exchange = exchanges.get(key)
+            if exchange is None:
+                exchange = exchanges[key] = _merged_exchange(n, key[1:], pairs)
+            runs, selections = exchange
+            view = psi.reshape(runs) if len(runs) < n else psi  # else nothing merges
+            for i, j in selections:
+                a, b = view[i], view[j]
                 held = a.copy()
                 a[...] = b
                 b[...] = held
@@ -153,14 +165,34 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
     return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
 
 
-def _target_values(axes: list[int], index: int) -> tuple:
-    """Index selecting the sub-array where target j (on axis axes[j]) has the
-    value of bit j of `index`.  The trailing Ellipsis keeps a full index a
-    writable 0-d view instead of a scalar."""
-    idx: list = [slice(None)] * (max(axes) + 1)
-    for j, axis in enumerate(axes):
-        idx[axis] = (index >> j) & 1
-    return (*idx, Ellipsis)
+def _merged_exchange(n: int, axes: tuple[int, ...], pairs) -> tuple[list[int], list]:
+    """The shape of the view of a (2,)*n state in which target j's axis
+    axes[j] stands alone between merged runs of the other axes, and, for
+    each index pair, the two indices into it selecting the sub-arrays where
+    target j has the value of bit j of the pair's index.  The trailing
+    Ellipsis keeps a full index a writable 0-d view instead of a scalar."""
+    runs: list[int] = []
+    where = list(axes)  # becomes the view axis of each target
+    prev = -1
+    for axis, j in sorted(zip(axes, range(len(axes)))):
+        if axis > prev + 1:
+            runs.append(1 << (axis - prev - 1))
+        where[j] = len(runs)
+        runs.append(2)
+        prev = axis
+    if prev < n - 1:
+        runs.append(1 << (n - 1 - prev))
+    selections = []
+    for i, j in pairs:
+        a, b = [_ALL] * len(runs), [_ALL] * len(runs)
+        for t, w in enumerate(where):
+            a[w] = (i >> t) & 1
+            b[w] = (j >> t) & 1
+        selections.append(((*a, Ellipsis), (*b, Ellipsis)))
+    return runs, selections
+
+
+_ALL = slice(None)
 
 
 def compose(*circuits: Circuit, name: str = "") -> Circuit:

@@ -6,8 +6,9 @@ catalog gate statements with parameter expressions (decimal literals, pi,
 are accepted but stripped with a warning, since all tests consume
 measurement-free circuits.
 
-The parser checks syntax and register bounds; `GateApplication` is the one
-check of a gate's arity, parameters and targets.  Every error is a
+The parser reads one statement at a time and checks syntax and register
+bounds; `GateApplication` is the one check of a gate's arity, parameters and
+targets.  Every error is a
 `QasmError` with a line and a column, which the CLI maps to exit 3.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import isfinite, pi
+from typing import NoReturn
 
 from . import gates
 from .circuit import Circuit, GateApplication
@@ -45,119 +47,58 @@ _TOKEN_ONLY_RE = re.compile(_TOKEN)
 # token, so a bad character is always the last match of its line.
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S.*)")
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# A statement's head; its parameter text, when that holds no parentheses,
+# either as one signed numeric literal, which float() reads exactly as the
+# evaluator would, or as any other text; and the rest: the argument list, or
+# a parameter list with nested parentheses.
+_STATEMENT_RE = re.compile(
+    rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?(.*)", re.S)
+_ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
+_HEADER_RE = re.compile(r"\s*OPENQASM\s+2\.0\s*")
+_INCLUDE_RE = re.compile(r'include\s+"[^"]*"\s*;')
+_COMMENT_RE = re.compile(r"//[^\n]*")
+
 
 # Parentheses and unary signs open nested calls; past this depth the parser
 # reports an error instead of exhausting Python's recursion limit.
 MAX_EXPR_DEPTH = 100
 
 
-class _Cursor:
-    """Reads a program's tokens statement by statement and evaluates parameter
-    expressions by left-associative precedence climbing.  No rule consumes a
-    statement's closing ';' except as a terminator, so no read runs past the
-    last token."""
+class _StatementError(Exception):
+    """A statement's error message; `parse_qasm` adds the statement's line."""
 
-    def __init__(self, tokens: list[str], lines: list[int]):
+
+class _Expression:
+    """Evaluates a parameter list from its tokens by left-associative
+    precedence climbing.  The last token is the one that follows the list in
+    the statement (')' or ';'); no rule consumes it except as the list's
+    terminator, so no read runs past it."""
+
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
-        self.lines = lines
         self.pos = 0
-        self.line = 1
         self.depth = 0
-
-    def fail(self, msg: str):
-        raise QasmError(ParseDiagnostic(self.line, 1, msg))
 
     def take(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def accept(self, tok: str) -> bool:
-        if self.tokens[self.pos] == tok:
-            self.pos += 1
-            return True
-        return False
-
-    def program(self, diagnostics: list[ParseDiagnostic]) -> Circuit:
-        qreg_name: str | None = None
-        num_qubits = 0
-        built: list[GateApplication] = []
-        while self.pos < len(self.tokens):
-            self.line = self.lines[self.pos]
-            head = self.take()
-            if head in ("qreg", "creg"):
-                name, size = self.arg()
-                if not self.accept(";"):
-                    self.fail(f"trailing tokens after {head} declaration")
-                if head == "creg":
-                    continue
-                if qreg_name is not None:
-                    self.fail(f"register '{name}' redeclared (single qreg supported)")
-                if size < 1:
-                    self.fail("qreg size must be >= 1")
-                qreg_name, num_qubits = name, size
-                continue
-            if head in ("measure", "barrier"):
-                if head == "measure":
-                    if qreg_name is None:
-                        self.fail("measure before qreg declaration")
-                    diagnostics.append(
-                        ParseDiagnostic(self.line, 1, "measurement stripped", "warning")
-                    )
-                self.pos = self.tokens.index(";", self.pos) + 1
-                continue
-
-            if head not in gates.CATALOG:
-                self.fail(f"unknown gate name '{head}'")
-            if qreg_name is None:
-                self.fail("gate application before qreg declaration")
-            params = self.params()
-            targets = [self.target(qreg_name, num_qubits)]
-            while self.accept(","):
-                targets.append(self.target(qreg_name, num_qubits))
-            if not self.accept(";"):
-                self.fail("expected ',' between gate arguments")
-            try:
-                built.append(GateApplication(head, tuple(targets), params))
-            except ValueError as exc:
-                self.fail(str(exc))
-        if qreg_name is None:
-            raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
-        return Circuit(num_qubits, tuple(built))
-
-    def arg(self) -> tuple[str, int]:
-        name = self.take()
-        if name.isidentifier() and self.take() == "[":
-            index = self.take()
-            if index.isdigit() and self.take() == "]":
-                try:
-                    return name, int(index)
-                except ValueError:  # past int()'s digit limit
-                    pass
-        self.fail("expected argument of the form name[index]")
-
-    def target(self, register: str, size: int) -> int:
-        name, index = self.arg()
-        if name != register:
-            self.fail(f"unknown register '{name}'")
-        if index >= size:
-            self.fail(f"qubit index {index} >= register size {size}")
-        return index
-
-    def params(self) -> tuple[float, ...]:
-        if not self.accept("(") or self.accept(")"):
-            return ()
+    def values(self) -> tuple[float, ...]:
         values = [self.value()]
-        while self.accept(","):
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             values.append(self.value())
-        if not self.accept(")"):
-            self.fail(f"unexpected token '{self.tokens[self.pos]}' in gate parameters")
+        if self.tokens[self.pos] != ")":
+            raise _StatementError(f"unexpected token '{self.tokens[self.pos]}' in gate parameters")
         return tuple(values)
 
     def value(self) -> float:
         value = self.expr()
         if not isfinite(value):
-            self.fail(f"parameter expression evaluates to {value}")
+            raise _StatementError(f"parameter expression evaluates to {value}")
         return value
 
     def expr(self) -> float:
@@ -173,7 +114,7 @@ class _Cursor:
             rhs = self.factor()
             if op == "/":
                 if rhs == 0.0:
-                    self.fail("division by zero in parameter expression")
+                    raise _StatementError("division by zero in parameter expression")
                 value = value / rhs
             else:
                 value = value * rhs
@@ -184,10 +125,10 @@ class _Cursor:
         if tok in ("-", "+", "("):
             self.depth += 1
             if self.depth > MAX_EXPR_DEPTH:
-                self.fail(f"parameter expression nested deeper than {MAX_EXPR_DEPTH}")
+                raise _StatementError(f"parameter expression nested deeper than {MAX_EXPR_DEPTH}")
             value = self.expr() if tok == "(" else self.factor()
             if tok == "(" and self.take() != ")":
-                self.fail("expected ')' in parameter expression")
+                raise _StatementError("expected ')' in parameter expression")
             self.depth -= 1
             return -value if tok == "-" else value
         if tok == "pi":
@@ -195,7 +136,72 @@ class _Cursor:
         try:
             return float(tok)
         except ValueError:
-            self.fail(f"malformed parameter token '{tok}'")
+            raise _StatementError(f"malformed parameter token '{tok}'") from None
+
+
+def _parameters(text: str, closer: str) -> tuple[float, ...]:
+    """The values of a parameter list's text; `closer` is the token after it."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens and not _TOKEN_ONLY_RE.fullmatch(tokens[-1]):
+        raise _StatementError("unexpected character")  # reported with its column
+    if not tokens and closer == ")":
+        return ()
+    return _Expression(tokens + [closer]).values()
+
+
+def _nested_parameters(rest: str) -> tuple[tuple[float, ...], str]:
+    """Parameters of a list with nested parentheses, which `rest` opens, and
+    the argument text after its closing ')'.  Without one, the list runs to
+    the statement's end and is always an error."""
+    depth = 0
+    for i, ch in enumerate(rest):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return _parameters(rest[1:i], ")"), rest[i + 1:]
+    return _parameters(rest[1:], ";"), ""
+
+
+def _argument(text: str) -> tuple[str, int, int]:
+    """The register name and index of the argument `text` starts with, and
+    where that argument ends."""
+    m = _ARGUMENT_RE.match(text)
+    if m is not None:
+        try:
+            return m[1], int(m[2]), m.end()
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise _StatementError("expected argument of the form name[index]")
+
+
+def _reject(text: str, statements: list[str], line: int, message: str) -> NoReturn:
+    """Raise the first error of the program `text`, split at ';' into
+    `statements`, in reading order: a character that starts no token, then
+    a last statement without its ';', then `message` at `line`."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        found = _TOKEN_RE.findall(raw)
+        if found and not _TOKEN_ONLY_RE.fullmatch(found[-1]):
+            raise QasmError(ParseDiagnostic(
+                line_no, len(raw) - len(found[-1]) + 1,
+                f"unexpected character {found[-1][0]!r}",
+            ))
+    if statements[-1].strip():
+        tail_line = next(_statement_lines(text, statements, [len(statements) - 1]))
+        raise QasmError(ParseDiagnostic(tail_line, 1, "statement not terminated by ';'"))
+    raise QasmError(ParseDiagnostic(line, 1, message))
+
+
+def _statement_lines(text: str, statements: list[str], indices: list[int]):
+    """The line of the first token (of the ';' when there is none) of each
+    statement in `indices`, which increase, in one pass over `text`."""
+    offset = done = counted = 0  # statement `done` starts at `offset`
+    line = 1  # the line of `text[counted]`
+    for at in indices:
+        offset += sum(map(len, statements[done:at])) + at - done
+        done = at
+        start = offset + len(statements[at]) - len(statements[at].lstrip())
+        line += text.count("\n", counted, start)
+        counted = start
+        yield line
 
 
 def parse_qasm(
@@ -203,8 +209,12 @@ def parse_qasm(
 ) -> Circuit:
     """Parse a QASM subset program into a Circuit.
 
-    Warnings (e.g. stripped measurements) are appended to `diagnostics` when
-    a list is supplied.  Errors raise QasmError.
+    Reads one ';'-terminated statement at a time: one regex splits it into
+    head, parameter text and arguments; a parameter that is a numeric
+    literal goes to float(), any other to the expression evaluator.  A line
+    number is worked out only for a diagnostic.  Warnings (e.g. stripped
+    measurements) are appended to `diagnostics` when a list is supplied.
+    Errors raise QasmError, the first in reading order when there are several.
     """
     if diagnostics is None:
         diagnostics = []
@@ -214,32 +224,85 @@ def parse_qasm(
         except (TypeError, ValueError) as exc:
             raise QasmError(ParseDiagnostic(1, 1, f"undecodable input: {exc}"))
 
-    # includes carry string literals the tokenizer has no use for; drop them,
-    # keeping their line breaks so that later lines keep their numbers
-    source = re.sub(r'include\s+"[^"]*"\s*;',
-                    lambda m: "\n" * (len(m[0].splitlines()) - 1), source)
+    # one "\n" per line break that str.splitlines counts, so that a line is
+    # the count of "\n" before a statement
+    text = "\n".join(source.splitlines())
+    # includes carry string literals no token reads; drop them, keeping their
+    # line breaks so that later lines keep their numbers
+    text = _INCLUDE_RE.sub(lambda m: "\n" * m[0].count("\n"), text)
+    text = _COMMENT_RE.sub("", text)
+    statements = text.split(";")
+    if statements[-1].strip() or len(statements) < 2 or not _HEADER_RE.fullmatch(statements[0]):
+        _reject(text, statements, 1, "missing 'OPENQASM 2.0;' header")
 
-    tokens: list[str] = []
-    lines: list[int] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        text = raw.partition("//")[0]
-        found = _TOKEN_RE.findall(text)
-        if found and not _TOKEN_ONLY_RE.fullmatch(found[-1]):
-            raise QasmError(ParseDiagnostic(
-                line_no, len(text) - len(found[-1]) + 1,
-                f"unexpected character {found[-1][0]!r}",
-            ))
-        tokens += found
-        lines += [line_no] * len(found)
+    qreg_name: str | None = None
+    num_qubits = 0
+    built: list[GateApplication] = []
+    measured: list[int] = []
+    try:
+        for at, stmt in enumerate(statements[1:-1], start=1):
+            m = _STATEMENT_RE.match(stmt)
+            if m is None:
+                head = _TOKEN_RE.match(stmt)
+                raise _StatementError(f"unknown gate name '{head[1] if head else ';'}'")
+            head, literal, param_text, args = m.groups()
+            if head not in gates.CATALOG:
+                if head == "qreg" or head == "creg":
+                    rest = stmt[m.end(1):]
+                    name, size, end = _argument(rest)
+                    if end != len(rest):
+                        raise _StatementError(f"trailing tokens after {head} declaration")
+                    if head == "creg":
+                        continue
+                    if qreg_name is not None:
+                        raise _StatementError(f"register '{name}' redeclared (single qreg supported)")
+                    if size < 1:
+                        raise _StatementError("qreg size must be >= 1")
+                    qreg_name, num_qubits = name, size
+                elif head == "measure" or head == "barrier":
+                    if not _TOKEN_ONLY_RE.fullmatch(_TOKEN_RE.findall(stmt)[-1]):
+                        raise _StatementError("unexpected character")  # reported with its column
+                    if head == "measure":
+                        if qreg_name is None:
+                            raise _StatementError("measure before qreg declaration")
+                        measured.append(at)
+                else:
+                    raise _StatementError(f"unknown gate name '{head}'")
+                continue
 
-    if tokens and tokens[-1] != ";":
-        last = len(tokens) - tokens[::-1].index(";") if ";" in tokens else 0
-        raise QasmError(ParseDiagnostic(lines[last], 1, "statement not terminated by ';'"))
-    if tokens[:3] != ["OPENQASM", "2.0", ";"]:
-        raise QasmError(ParseDiagnostic(1, 1, "missing 'OPENQASM 2.0;' header"))
-    cursor = _Cursor(tokens, lines)
-    cursor.pos = 3
-    return cursor.program(diagnostics)
+            if qreg_name is None:
+                raise _StatementError("gate application before qreg declaration")
+            if literal is not None:
+                params = (float(literal),)
+                if not isfinite(params[0]):
+                    raise _StatementError(f"parameter expression evaluates to {params[0]}")
+            elif param_text is not None:
+                params = _parameters(param_text, ")")
+            elif args.startswith("("):
+                params, args = _nested_parameters(args)
+            else:
+                params = ()
+            targets = []
+            for arg in args.split(","):
+                name, index, end = _argument(arg)
+                if name != qreg_name:
+                    raise _StatementError(f"unknown register '{name}'")
+                if index >= num_qubits:
+                    raise _StatementError(f"qubit index {index} >= register size {num_qubits}")
+                if end != len(arg):
+                    raise _StatementError("expected ',' between gate arguments")
+                targets.append(index)
+            try:
+                built.append(GateApplication(head, targets, params))
+            except ValueError as exc:
+                raise _StatementError(str(exc)) from None
+    except _StatementError as exc:
+        _reject(text, statements, next(_statement_lines(text, statements, [at])), str(exc))
+    if qreg_name is None:
+        raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
+    diagnostics += (ParseDiagnostic(line, 1, "measurement stripped", "warning")
+                    for line in _statement_lines(text, statements, measured))
+    return Circuit(num_qubits, tuple(built))
 
 
 def _format_param(value: float) -> str:

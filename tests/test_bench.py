@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from qut import bench, mutation, simulator
@@ -450,3 +451,28 @@ class TestMetrics:
         rows = bench.run_benchmark(bench.load_corpus(small_corpus), cfg)
         m = bench.compute_metrics(rows)
         assert m["statevector"]["recall"] == 1.0
+
+
+class TestSeededRepeat:
+    @settings(max_examples=15, deadline=None)
+    @given(circuits=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                       st.integers(0, 2**16), st.integers(0, 2**16)),
+                             min_size=1, max_size=3),
+           tests=st.lists(st.sampled_from(bench.ALL_TESTS), min_size=1, unique=True),
+           repetitions=st.integers(1, 3),
+           base_seed=st.integers(0, 2**64 - 1),
+           p_t=st.sampled_from([0.05, 0.5]),
+           cap=st.integers(1, 64))
+    def test_rows_repeat_exactly_for_a_seed(self, circuits, tests, repetitions,
+                                            base_seed, p_t, cap):
+        # an original against a mutant that is another random circuit, or
+        # itself when the two seeds agree
+        pairs = []
+        for i, (n, depth, original_seed, mutant_seed) in enumerate(circuits):
+            original = random_circuit(n, depth, seed=original_seed)
+            mutant = random_circuit(n, depth, seed=mutant_seed)
+            pairs.append(bench.CorpusPair(f"p{i}", original, mutant))
+        config = bench.ExperimentConfig(tests=tuple(tests), repetitions=repetitions,
+                                        base_seed=base_seed, p_t=p_t,
+                                        shot_cap_absolute=cap, mc_reps=20)
+        assert bench.run_benchmark(pairs, config) == bench.run_benchmark(pairs, config)

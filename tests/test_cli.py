@@ -18,6 +18,8 @@ from qut.jsonio import emit_json
 from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import MAX_SHOTS, run_statevector
 from qut.testing import statevector_verdict
+from test_jsonio import edited_circuit_objects
+from test_qasm import edited_programs, token_programs
 
 
 @pytest.fixture
@@ -582,3 +584,51 @@ class TestRunContract:
                     "--shots", str(shots), "--seed", str(seed))
                 assert code == 0, (test, code, err)
 
+
+
+class TestSubcommandContract:
+    """`qut parse`, `qut estimate-shots` and `qut mutate` on the structured
+    fuzz of the QASM and JSON parsers' own properties: every run ends in exit
+    0 (done), 2 (usage) or 3 (I/O or parse error) without a traceback.  None
+    of them gives a verdict, so none may end in exit 1."""
+
+    @staticmethod
+    def _run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, err.getvalue()
+
+    @settings(max_examples=80, deadline=None)
+    @given(subject=st.one_of(
+               token_programs().map(lambda text: ("qasm", text)),
+               edited_programs().map(lambda text: ("qasm", text)),
+               edited_circuit_objects().map(lambda text: ("json", text)),
+               _circuit_file(["qasm", "json"]).map(
+                   lambda f: (f[3], (emit_qasm if f[3] == "qasm" else emit_json)(
+                       random_circuit(*f[:3]))))),
+           other=_circuit_file(["qasm", "json", "state"]),
+           emit=st.sampled_from(["qasm", "json"]),
+           pe=st.sampled_from(["0.05", "0.5", "0", "1.5", "nan"]),
+           operators=st.sampled_from(["qgr,qgd,qgi,rgi", "qgd", "rgi", "qgx", ""]),
+           fraction=st.sampled_from(["1.0", "0.5", "0", "-1"]),
+           rgi_count=st.sampled_from(["1", "3", "0"]),
+           seed=st.sampled_from(["0", "7", "-1"]))
+    def test_every_subcommand_ends_in_a_documented_exit_code(
+            self, subject, other, emit, pe, operators, fraction, rgi_count, seed):
+        form, text = subject
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"subject.{form}"
+            path.write_text(text)
+            good = _write_generated(Path(tmp), "other", *other)
+            runs = [
+                ("parse", "--in", str(path), "--emit", emit),
+                ("estimate-shots", "--program", str(path), "--expected", good, "--pe", pe),
+                ("estimate-shots", "--program", good, "--expected", str(path), "--pe", pe),
+                ("mutate", "--circuit", str(path), "--operators", operators,
+                 "--fraction", fraction, "--rgi-count", rgi_count, "--seed", seed,
+                 "--out", str(Path(tmp) / "mutants")),
+            ]
+            for argv in runs:
+                code, err = self._run(*argv)
+                assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)

@@ -33,6 +33,15 @@ def test_lines_after_a_multiline_include_keep_their_numbers(include):
         parse_qasm(f"{HEADER}{include}\nqreg q[1];\nfrob q[0];")
 
 
+def test_a_lone_carriage_return_before_an_include_stays_a_line_break():
+    # dropping the include must not join the "\r" before it and the "\n"
+    # after it into one CRLF line break
+    source = 'OPENQASM 2.0;\n\rinclude "qelib1.inc";\nqreg q[1];\nfrob q[0];\n'
+    assert len(source[:source.index("frob")].splitlines()) + 1 == 5
+    with pytest.raises(QasmError, match=r"^line 5, col 1: unknown gate"):
+        parse_qasm(source)
+
+
 def test_parameter_expression_pi_over_180():
     c = parse_qasm(HEADER + "qreg q[3];\nrx(pi/180) q[2];\n")
     g = c.gates[0]
@@ -106,6 +115,145 @@ class TestErrors:
             parse_qasm(data.decode("utf-8", errors="replace"))
         except QasmError:
             pass
+
+
+# Each malformed program's exact diagnostic (line, column, message), recorded
+# from the whole-file tokenizer that preceded the statement-at-a-time parser.
+_DEEP = MAX_EXPR_DEPTH + 1
+REJECTED = [
+    ("unknown gate", HEADER + "qreg q[1];\nfrobnicate q[0];\n",
+     3, 1, "unknown gate name 'frobnicate'"),
+    ("register without index", HEADER + "qreg q[1];\nh q;\n",
+     3, 1, "expected argument of the form name[index]"),
+    ("index out of range", HEADER + "qreg q[2];\nh q[2];\n",
+     3, 1, "qubit index 2 >= register size 2"),
+    ("unterminated statement", HEADER + "qreg q[1];\nh q[0]\n",
+     3, 1, "statement not terminated by ';'"),
+    ("unterminated after blank lines", HEADER + "qreg q[1];\nh q[0];\nx q[0]\n\n",
+     4, 1, "statement not terminated by ';'"),
+    ("unterminated reported before an earlier error", HEADER + "qreg q[1];\nfrob q[0];\nh q[0]",
+     4, 1, "statement not terminated by ';'"),
+    ("bad character", HEADER + "qreg q[1];\nh q[0]; $x\n",
+     3, 9, "unexpected character '$'"),
+    ("bad character in parameters", HEADER + "qreg q[1];\n  rz(0.5 & 1) q[0];\n",
+     3, 10, "unexpected character '&'"),
+    ("bad character reported before an earlier error", HEADER + "qreg q[1];\nfrob q[0];\nh q[0]; >\n",
+     4, 9, "unexpected character '>'"),
+    ("bad character in a skipped statement", HEADER + "qreg q[1];\nbarrier q @;\n",
+     3, 11, "unexpected character '@'"),
+    ("qreg redeclared", HEADER + "qreg q[1];\nqreg r[1];\n",
+     3, 1, "register 'r' redeclared (single qreg supported)"),
+    ("parentheses past the depth limit",
+     HEADER + "qreg q[1];\nrz(" + "(" * _DEEP + "1" + ")" * _DEEP + ") q[0];\n",
+     3, 1, "parameter expression nested deeper than 100"),
+    ("unary signs past the depth limit", HEADER + "qreg q[1];\nrz(" + "-" * _DEEP + "1) q[0];\n",
+     3, 1, "parameter expression nested deeper than 100"),
+    ("division by zero", HEADER + "qreg q[1];\nrz(pi/0) q[0];\n",
+     3, 1, "division by zero in parameter expression"),
+    ("overflowing literal", HEADER + "qreg q[1];\nrz(1e400) q[0];\n",
+     3, 1, "parameter expression evaluates to inf"),
+    ("overflowing product", HEADER + "qreg q[1];\nrz(1e300*-1e300) q[0];\n",
+     3, 1, "parameter expression evaluates to -inf"),
+    ("two decimal points", HEADER + "qreg q[1];\nrz(1.5.5) q[0];\n",
+     3, 1, "unexpected token '.5' in gate parameters"),
+    ("gate before qreg", HEADER + "h q[0];\nqreg q[1];\n",
+     2, 1, "gate application before qreg declaration"),
+    ("measure before qreg", HEADER + "measure q[0] -> c[0];\nqreg q[1];\n",
+     2, 1, "measure before qreg declaration"),
+    ("missing header", "qreg q[1];\nh q[0];\n", 1, 1, "missing 'OPENQASM 2.0;' header"),
+    ("wrong version", "\n\nOPENQASM 3.0;\nqreg q[1];\n", 1, 1, "missing 'OPENQASM 2.0;' header"),
+    ("empty program", "", 1, 1, "missing 'OPENQASM 2.0;' header"),
+    ("no qreg", HEADER + "creg c[1];\n", 1, 1, "program declares no qreg"),
+    ("qreg of size 0", HEADER + "qreg q[0];\n", 2, 1, "qreg size must be >= 1"),
+    ("trailing tokens after qreg", HEADER + "qreg q[1] q;\n",
+     2, 1, "trailing tokens after qreg declaration"),
+    ("unknown register", HEADER + "qreg q[1];\nh r[0];\n", 3, 1, "unknown register 'r'"),
+    ("missing comma", HEADER + "qreg q[2];\ncx q[0] q[1];\n",
+     3, 1, "expected ',' between gate arguments"),
+    ("negative index", HEADER + "qreg q[2];\nh q[-1];\n",
+     3, 1, "expected argument of the form name[index]"),
+    ("wrong arity", HEADER + "qreg q[2];\ncx q[0];\n", 3, 1, "gate 'cx' has arity 2, got 1 targets"),
+    ("duplicate targets", HEADER + "qreg q[2];\ncx q[1],q[1];\n",
+     3, 1, "duplicate targets in cx: (1, 1)"),
+    ("missing parameter", HEADER + "qreg q[1];\nrz q[0];\n", 3, 1, "gate 'rz' takes 1 parameter(s)"),
+    ("extra parameter", HEADER + "qreg q[1];\nh(0.5) q[0];\n", 3, 1, "gate 'h' takes 0 parameter(s)"),
+    ("unclosed parameter list", HEADER + "qreg q[1];\nrz(0.5 q[0];\n",
+     3, 1, "unexpected token 'q' in gate parameters"),
+    ("unclosed parenthesis", HEADER + "qreg q[1];\nrz((0.5) q[0];\n",
+     3, 1, "unexpected token 'q' in gate parameters"),
+    ("incomplete expression", HEADER + "qreg q[1];\nrz(0.5+) q[0];\n",
+     3, 1, "malformed parameter token ')'"),
+    ("identifier parameter", HEADER + "qreg q[1];\nrx(theta) q[0];\n",
+     3, 1, "malformed parameter token 'theta'"),
+    ("comment inside the parameters", HEADER + "qreg q[1];\nrx(pi//2) q[0];\n",
+     3, 1, "statement not terminated by ';'"),
+    ("empty statement", HEADER + "qreg q[1];\n;\n", 3, 1, "unknown gate name ';'"),
+    ("statement split over lines", HEADER + "qreg q[2];\ncx q[0],\n  q[5];\n",
+     3, 1, "qubit index 5 >= register size 2"),
+    ("CRLF line ends", "OPENQASM 2.0;\r\nqreg q[1];\r\n\r\nfrob q[0];\r\n",
+     4, 1, "unknown gate name 'frob'"),
+    ("after comment lines", HEADER + "// one\n// two\nqreg q[1];\nh q[0]; // ok\nfrob q[0];\n",
+     6, 1, "unknown gate name 'frob'"),
+]
+
+
+@pytest.mark.parametrize("source, line, column, message",
+                         [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_rejected_program_diagnostic_is_pinned(source, line, column, message):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(source)
+    d = exc.value.diagnostic
+    assert (d.line, d.column, d.message) == (line, column, message)
+    assert str(exc.value) == f"line {line}, col {column}: {message}"
+
+
+# Accepted spellings and the circuit (width, (kind, targets, params) per gate)
+# and warning lines each gives, recorded like the table above.
+ACCEPTED = [
+    ("CRLF line ends",
+     'OPENQASM 2.0;\r\ninclude "qelib1.inc";\r\nqreg q[2];\r\nh q[0];\r\ncx q[0],q[1];\r\n',
+     2, (("h", (0,), ()), ("cx", (0, 1), ())), ()),
+    ("statement split across lines",
+     HEADER + "qreg\nq[2];\ncx\n  q[0] ,\n  q[1]\n;\nrz(\n0.5\n)\nq[1];\n",
+     2, (("cx", (0, 1), ()), ("rz", (1,), (0.5,))), ()),
+    ("comments",
+     "// leading\nOPENQASM 2.0; // header\nqreg q[1]; // one qubit\n// h q[0];\nx q[0];// no space\n",
+     1, (("x", (0,), ()),), ()),
+    ("multi-line include", HEADER + 'include\n"qelib1.inc"\n;\nqreg q[1];\nh q[0];\n',
+     1, (("h", (0,), ()),), ()),
+    ("empty parameter list", HEADER + "qreg q[1];\nh() q[0];\nh ( ) q[0];\n",
+     1, (("h", (0,), ()), ("h", (0,), ())), ()),
+    ("measurements",
+     HEADER + "qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0];\nmeasure\n  q[0] -> c[0];\n",
+     1, (("h", (0,), ()),), (5, 6)),
+    ("literal forms",
+     HEADER + "qreg q[1];\nrz(1.) q[0];\nrz(.5) q[0];\nrz(1e-3) q[0];\nrz(-pi) q[0];\n"
+     "rz(+2) q[0];\nrz(2.5E+2) q[0];\n",
+     1, (("rz", (0,), (1.0,)), ("rz", (0,), (0.5,)), ("rz", (0,), (0.001,)),
+         ("rz", (0,), (-3.141592653589793,)), ("rz", (0,), (2.0,)), ("rz", (0,), (250.0,))), ()),
+    ("expressions",
+     HEADER + "qreg q[2];\nr(-pi/2 + 1*0.5, 2*(pi - 3)) q[0];\ncrz(--1) q[1],q[0];\n"
+     "rx(((pi))/4) q[1];\n",
+     2, (("r", (0,), (-1.0707963267948966, 0.28318530717958623)), ("crz", (1, 0), (1.0,)),
+         ("rx", (1,), (0.7853981633974483,))), ()),
+    ("spacing",
+     "\n\n  OPENQASM   2.0 ;qreg q [ 3 ] ;cx q[2],q[0];barrier q[0],q[1];"
+     "  ccx q[0] , q[1] , q[2] ;\n\n",
+     3, (("cx", (2, 0), ()), ("ccx", (0, 1, 2), ())), ()),
+    ("index with leading zeros", HEADER + "qreg q[3];\nh q[002];\n", 3, (("h", (2,), ()),), ()),
+    ("creg before qreg", HEADER + "creg c[2];\nqreg q[1];\ny q[0];\n", 1, (("y", (0,), ()),), ()),
+]
+
+
+@pytest.mark.parametrize("source, num_qubits, gate_list, warning_lines",
+                         [case[1:] for case in ACCEPTED], ids=[case[0] for case in ACCEPTED])
+def test_accepted_program_circuit_is_pinned(source, num_qubits, gate_list, warning_lines):
+    diagnostics = []
+    c = parse_qasm(source, diagnostics)
+    assert c.num_qubits == num_qubits
+    assert tuple((g.kind, g.targets, g.params) for g in c.gates) == gate_list
+    assert [(d.line, d.column, d.message, d.severity) for d in diagnostics] == [
+        (line, 1, "measurement stripped", "warning") for line in warning_lines]
 
 
 class TestEmit:

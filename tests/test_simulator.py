@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,7 +7,9 @@ import pytest
 from scipy import stats
 
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
+from qut.core import random_statevector
 from qut.jsonio import nearest_unitary
+from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import (
     PROB_FLOOR,
     first_failing_shot,
@@ -16,6 +19,7 @@ from qut.simulator import (
     run_statevector,
     sample_from_probs,
 )
+from qut.synth import synthesize_state_prep
 from qut.testing import statistical_test
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -88,6 +92,59 @@ class TestKernelBitIdentity:
             c = Circuit(n, tuple(gs))
             assert np.array_equal(run_statevector(c).amplitudes,
                                   _moveaxis_oracle(c)), i
+
+
+# SHA-256 of the amplitude bytes `run_statevector` gives, recorded from the
+# kernel that exchanged permutation gates' sub-arrays over the (2,)*n view.
+# Changes to the gate kernel must leave every bit of these outputs in place.
+DENSE_PREP_DIGESTS = {
+    1: "2fde37743380e56145ebd5ab7f05c8c07dc4cd108ba5e78428a7299500291ce7",
+    2: "78fd802008d3e9288c9f802f49efcf71ac7cbc14be6639c2b9f910e4d7753639",
+    6: "bd6c868895012df92d64c618136e42c0513eb009cda64e7caa313d650543dcf4",
+    12: "00003df9986c0f7cd0b6f79b6d04d82b116d5ef447237abdac2732b368790967",
+}
+RANDOM_CIRCUIT_DIGESTS = {
+    1: "7f937807192c46668bbe695e9df94c3eb6064087e4f1ab4b2d33a496d9f7533f",
+    2: "4b8cdbe6521f5bbc7b7bd6b057b87ea24f7001f28b54598e996547aeb7e94d72",
+    3: "ab74bf15a12615deeac9bad97be55cb144765b6dc8ffa32abba46ee931fa40be",
+    4: "70a6bdcb76c353c0a8772b699e3dae2823f64108c890ecc96618ac86605489f0",
+    5: "5cbef82e32be349f4e46b2af9b063c08ebbbf8abff4e525f8f9a42875c7d9f00",
+    6: "223a45b8e11d2f8ff9c743d9b49f5831a03365c1a67315cf870e2da4803bda74",
+    7: "212fc53cb3a656be1b83db09932481d0169c83a7e005c5cace5fd6102330c071",
+    8: "5dcc95e9151417dd4070165f540f833edb78ba302d5e438d39401c6d1b709ca0",
+    9: "3d72e62bccaa4281f6304d50dcc82793ffa0b6673f07b19448fee4d7e5408c4d",
+    10: "6cede45e7e55ae32c668e19d191969fab1e780aea4f43d0c103a09632a05b7b0",
+    11: "e36dc2d2e7cd1188bd9e988d0f9d43c96b54261d7f9769872457845c25e36824",
+    12: "0787db43e8d8ae22c8af72076b1e09bd13076f61aeb98d6f1fe62ec544c0a700",
+}
+
+
+def _amplitude_digest(c: Circuit) -> str:
+    return hashlib.sha256(run_statevector(c).amplitudes.tobytes()).hexdigest()
+
+
+def _dense_prep(n: int) -> Circuit:
+    return synthesize_state_prep(random_statevector(n, np.random.default_rng(n)))
+
+
+class TestPinnedOutputBits:
+    @pytest.mark.parametrize("n", sorted(DENSE_PREP_DIGESTS))
+    def test_dense_preparation(self, n):
+        c = _dense_prep(n)
+        assert len(c.gates) == 2 * (2**n - 1) + max(2**(n + 1) - 4, 0)
+        assert _amplitude_digest(c) == DENSE_PREP_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(RANDOM_CIRCUIT_DIGESTS))
+    def test_random_circuit(self, n):
+        assert _amplitude_digest(random_circuit(n, 30, seed=n)) == RANDOM_CIRCUIT_DIGESTS[n]
+
+    def test_wide_preparation_reads_back_from_qasm(self):
+        # the shape of the synthesized expected files a 12-qubit inverse test reads
+        prep = _dense_prep(12)
+        again = parse_qasm(emit_qasm(prep))
+        assert len(again.gates) == 16378
+        assert sum(g.kind == "cx" for g in again.gates) == 8188
+        assert again.structurally_equal(prep)
 
 
 def _probs(c: Circuit) -> np.ndarray:
