@@ -12,7 +12,7 @@ from . import gates
 from .core import StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GateApplication:
     """One gate acting on an ordered tuple of qubit indices."""
 
@@ -21,10 +21,12 @@ class GateApplication:
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        kind = self.kind
-        targets = tuple(map(int, self.targets))
-        params = tuple(map(float, self.params))
+    def __init__(self, kind: str, targets, params=(), matrix=None):
+        # the one gate check, written as __init__ rather than __post_init__
+        # so that each field is set once
+        targets = tuple(map(int, targets))
+        params = tuple(map(float, params))
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "params", params)
         if len(set(targets)) != len(targets):
@@ -34,6 +36,7 @@ class GateApplication:
                              "negative qubit index is out of range")
         spec = gates.CATALOG.get(kind)
         if spec is not None:
+            object.__setattr__(self, "matrix", matrix)
             if len(targets) != spec.arity:
                 raise ValueError(
                     f"gate '{kind}' has arity {spec.arity}, got {len(targets)} targets"
@@ -43,7 +46,7 @@ class GateApplication:
             return
         if kind != gates.CUSTOM:
             raise ValueError(f"unknown gate kind '{kind}'")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(matrix, dtype=complex)
         if m.shape != (1 << len(targets), 1 << len(targets)):
             raise ValueError("custom matrix shape does not match target count")
         if not gates.is_unitary(m):
