@@ -154,8 +154,8 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
                 exchange = exchanges[key] = _merged_exchange(n, key[1:], pairs)
             runs, selections = exchange
             view = psi.reshape(runs) if len(runs) < n else psi  # else nothing merges
-            for i, j in selections:
-                a, b = view[i], view[j]
+            for first, second in selections:
+                a, b = view[first], view[second]
                 held = a.copy()
                 a[...] = b
                 b[...] = held
@@ -175,27 +175,25 @@ def _merged_exchange(n: int, axes: tuple[int, ...], pairs) -> tuple[list[int], l
     target j has the value of bit j of the pair's index.  The trailing
     Ellipsis keeps a full index a writable 0-d view instead of a scalar."""
     runs: list[int] = []
-    where = list(axes)  # becomes the view axis of each target
+    where = [0] * len(axes)  # the view axis of each target
     prev = -1
-    for axis, j in sorted(zip(axes, range(len(axes)))):
+    for axis in sorted(axes):
         if axis > prev + 1:
             runs.append(1 << (axis - prev - 1))
-        where[j] = len(runs)
+        where[axes.index(axis)] = len(runs)
         runs.append(2)
         prev = axis
     if prev < n - 1:
         runs.append(1 << (n - 1 - prev))
     selections = []
     for i, j in pairs:
-        a, b = [_ALL] * len(runs), [_ALL] * len(runs)
+        first = [slice(None)] * len(runs)
+        second = first.copy()
         for t, w in enumerate(where):
-            a[w] = (i >> t) & 1
-            b[w] = (j >> t) & 1
-        selections.append(((*a, Ellipsis), (*b, Ellipsis)))
+            first[w] = (i >> t) & 1
+            second[w] = (j >> t) & 1
+        selections.append(((*first, Ellipsis), (*second, Ellipsis)))
     return runs, selections
-
-
-_ALL = slice(None)
 
 
 def compose(*circuits: Circuit, name: str = "") -> Circuit:

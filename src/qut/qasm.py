@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isfinite, pi
 from typing import NoReturn
 
@@ -185,23 +186,18 @@ def _reject(text: str, statements: list[str], line: int, message: str) -> NoRetu
                 f"unexpected character {found[-1][0]!r}",
             ))
     if statements[-1].strip():
-        tail_line = next(_statement_lines(text, statements, [len(statements) - 1]))
+        tail_line = next(_statement_lines(statements, [len(statements) - 1]))
         raise QasmError(ParseDiagnostic(tail_line, 1, "statement not terminated by ';'"))
     raise QasmError(ParseDiagnostic(line, 1, message))
 
 
-def _statement_lines(text: str, statements: list[str], indices: list[int]):
+def _statement_lines(statements: list[str], indices: list[int]):
     """The line of the first token (of the ';' when there is none) of each
-    statement in `indices`, which increase, in one pass over `text`."""
-    offset = done = counted = 0  # statement `done` starts at `offset`
-    line = 1  # the line of `text[counted]`
+    of the `statements` at `indices`."""
+    breaks_before = [0, *accumulate(stmt.count("\n") for stmt in statements)]
     for at in indices:
-        offset += sum(map(len, statements[done:at])) + at - done
-        done = at
-        start = offset + len(statements[at]) - len(statements[at].lstrip())
-        line += text.count("\n", counted, start)
-        counted = start
-        yield line
+        stmt = statements[at]
+        yield 1 + breaks_before[at] + stmt[:len(stmt) - len(stmt.lstrip())].count("\n")
 
 
 def parse_qasm(
@@ -297,11 +293,11 @@ def parse_qasm(
             except ValueError as exc:
                 raise _StatementError(str(exc)) from None
     except _StatementError as exc:
-        _reject(text, statements, next(_statement_lines(text, statements, [at])), str(exc))
+        _reject(text, statements, next(_statement_lines(statements, [at])), str(exc))
     if qreg_name is None:
         raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
     diagnostics += (ParseDiagnostic(line, 1, "measurement stripped", "warning")
-                    for line in _statement_lines(text, statements, measured))
+                    for line in _statement_lines(statements, measured))
     return Circuit(num_qubits, tuple(built))
 
 
