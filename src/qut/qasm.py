@@ -43,10 +43,11 @@ class QasmError(ValueError):
 
 
 _TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|->|[()\[\],;+\-*/]"
-_TOKEN_ONLY_RE = re.compile(_TOKEN)
 # The catch-all takes the rest of the line from a character that starts no
-# token, so a bad character is always the last match of its line.
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S.*)")
+# token, so a bad character is always the last match of its line.  Only
+# non-literal parameters, skipped statements and diagnostics read tokens, so
+# these patterns are compiled on first use, through re's cache.
+_TOKENS = rf"\s*({_TOKEN}|\S.*)"
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -57,9 +58,6 @@ _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _STATEMENT_RE = re.compile(
     rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?(.*)", re.S)
 _ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
-_HEADER_RE = re.compile(r"\s*OPENQASM\s+2\.0\s*")
-_INCLUDE_RE = re.compile(r'include\s+"[^"]*"\s*;')
-_COMMENT_RE = re.compile(r"//[^\n]*")
 
 
 # Parentheses and unary signs open nested calls; past this depth the parser
@@ -140,10 +138,15 @@ class _Expression:
             raise _StatementError(f"malformed parameter token '{tok}'") from None
 
 
+def _ends_in_a_bad_character(tokens: list[str]) -> bool:
+    """Whether a `_TOKENS` match list ends in the catch-all."""
+    return bool(tokens) and re.fullmatch(_TOKEN, tokens[-1]) is None
+
+
 def _parameters(text: str, closer: str) -> tuple[float, ...]:
     """The values of a parameter list's text; `closer` is the token after it."""
-    tokens = _TOKEN_RE.findall(text)
-    if tokens and not _TOKEN_ONLY_RE.fullmatch(tokens[-1]):
+    tokens = re.findall(_TOKENS, text)
+    if _ends_in_a_bad_character(tokens):
         raise _StatementError("unexpected character")  # reported with its column
     if not tokens and closer == ")":
         return ()
@@ -179,8 +182,8 @@ def _reject(text: str, statements: list[str], line: int, message: str) -> NoRetu
     `statements`, in reading order: a character that starts no token, then
     a last statement without its ';', then `message` at `line`."""
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        found = _TOKEN_RE.findall(raw)
-        if found and not _TOKEN_ONLY_RE.fullmatch(found[-1]):
+        found = re.findall(_TOKENS, raw)
+        if _ends_in_a_bad_character(found):
             raise QasmError(ParseDiagnostic(
                 line_no, len(raw) - len(found[-1]) + 1,
                 f"unexpected character {found[-1][0]!r}",
@@ -225,10 +228,10 @@ def parse_qasm(
     text = "\n".join(source.splitlines())
     # includes carry string literals no token reads; drop them, keeping their
     # line breaks so that later lines keep their numbers
-    text = _INCLUDE_RE.sub(lambda m: "\n" * m[0].count("\n"), text)
-    text = _COMMENT_RE.sub("", text)
+    text = re.sub(r'include\s+"[^"]*"\s*;', lambda m: "\n" * m[0].count("\n"), text)
+    text = re.sub(r"//[^\n]*", "", text)
     statements = text.split(";")
-    if statements[-1].strip() or len(statements) < 2 or not _HEADER_RE.fullmatch(statements[0]):
+    if statements[-1].strip() or len(statements) < 2 or statements[0].split() != ["OPENQASM", "2.0"]:
         _reject(text, statements, 1, "missing 'OPENQASM 2.0;' header")
 
     qreg_name: str | None = None
@@ -239,7 +242,7 @@ def parse_qasm(
         for at, stmt in enumerate(statements[1:-1], start=1):
             m = _STATEMENT_RE.match(stmt)
             if m is None:
-                head = _TOKEN_RE.match(stmt)
+                head = re.match(_TOKENS, stmt)
                 raise _StatementError(f"unknown gate name '{head[1] if head else ';'}'")
             head, literal, param_text, args = m.groups()
             if head not in gates.CATALOG:
@@ -256,7 +259,7 @@ def parse_qasm(
                         raise _StatementError("qreg size must be >= 1")
                     qreg_name, num_qubits = name, size
                 elif head == "measure" or head == "barrier":
-                    if not _TOKEN_ONLY_RE.fullmatch(_TOKEN_RE.findall(stmt)[-1]):
+                    if _ends_in_a_bad_character(re.findall(_TOKENS, stmt)):
                         raise _StatementError("unexpected character")  # reported with its column
                     if head == "measure":
                         if qreg_name is None:
