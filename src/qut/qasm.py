@@ -42,15 +42,16 @@ class QasmError(ValueError):
         self.diagnostic = diagnostic
 
 
-_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|->|[()\[\],;+\-*/]"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = rf"[+-]?{_UNSIGNED}"
+_TOKEN = rf"{_NAME}|{_UNSIGNED}|->|[()\[\],;+\-*/]"
 # The catch-all takes the rest of the line from a character that starts no
 # token, so a bad character is always the last match of its line.  Only
 # non-literal parameters, skipped statements and diagnostics read tokens, so
 # these patterns are compiled on first use, through re's cache.
 _TOKENS = rf"\s*({_TOKEN}|\S.*)"
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # A statement's head; its parameter text, when that holds no parentheses,
 # either as one signed numeric literal, which float() reads exactly as the
 # evaluator would, or as any other text; and the rest: the argument list, or
