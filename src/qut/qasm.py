@@ -145,10 +145,10 @@ def _ends_in_a_bad_character(tokens: list[str]) -> bool:
 
 
 def _parameters(text: str, closer: str) -> tuple[float, ...]:
-    """The values of a parameter list's text; `closer` is the token after it."""
+    """The values of a parameter list's text; `closer` is the token after it.
+    A character that starts no token fails as a malformed token, and
+    `parse_qasm` then reports the character itself."""
     tokens = re.findall(_TOKENS, text)
-    if _ends_in_a_bad_character(tokens):
-        raise _StatementError("unexpected character")  # reported with its column
     if not tokens and closer == ")":
         return ()
     return _Expression(tokens + [closer]).values()
