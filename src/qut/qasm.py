@@ -180,8 +180,8 @@ def _argument(text: str) -> tuple[str, int, int]:
 
 def _reject(text: str, statements: list[str], line: int, message: str) -> NoReturn:
     """Raise the first error of the program `text`, split at ';' into
-    `statements`, in reading order: a character that starts no token, then
-    a last statement without its ';', then `message` at `line`."""
+    `statements`: the first character that starts no token, else a last
+    statement without its ';', else `message` at `line`."""
     for line_no, raw in enumerate(text.split("\n"), start=1):
         found = re.findall(_TOKENS, raw)
         if _ends_in_a_bad_character(found):
@@ -214,7 +214,9 @@ def parse_qasm(
     literal goes to float(), any other to the expression evaluator.  A line
     number is worked out only for a diagnostic.  Warnings (e.g. stripped
     measurements) are appended to `diagnostics` when a list is supplied.
-    Errors raise QasmError, the first in reading order when there are several.
+    Errors raise QasmError: of several, a character that starts no token is
+    reported first, then an unterminated last statement, then the first
+    statement that fails.
     """
     if diagnostics is None:
         diagnostics = []
