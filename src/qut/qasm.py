@@ -8,8 +8,8 @@ measurement-free circuits.
 
 The parser reads one statement at a time and checks syntax and register
 bounds; `GateApplication` is the one check of a gate's arity, parameters and
-targets.  Every error is a
-`QasmError` with a line and a column, which the CLI maps to exit 3.
+targets.  Every error is a `QasmError` with a line and a column, which the
+CLI maps to exit 3.
 """
 
 from __future__ import annotations
