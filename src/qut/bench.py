@@ -179,6 +179,8 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.tests, (list, tuple)):
+            raise ValueError("tests must be a list of test names")
         object.__setattr__(self, "tests", tuple(self.tests))
         for name in ("repetitions", "shot_cap_absolute", "mc_reps"):
             value = getattr(self, name)

@@ -3,6 +3,7 @@ seeded random-circuit generation."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -130,28 +131,31 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
     with the axis order unchanged.  It selects them from a view in which each
     target axis stands alone between merged runs of the other axes, so each
     copy runs over at most k + 1 strides instead of up to n - k 2-wide
-    dimensions; the view's shape and the selections depend only on the gate
-    kind and the targets' axes, so each combination is worked out once per
-    call.  Every other gate transposes its targets to the front (most
-    significant first), reshapes to (2^k, -1), which copies once, and is
-    left-multiplied by the gate's matrix; the new axis order is recorded
-    instead of moving axes back.  The two paths agree exactly: each entry of
-    a product with a 0/1 matrix is one amplitude times 1 plus exact zeros.
-    One transpose restores the canonical order at the end.  Targets are
-    assumed in range, as a `Circuit` checks.
+    dimensions; `_merged_exchange` works the view out per gate kind and
+    target axes, and within one axis order it is looked up by the gate's
+    kind and targets.  Every other gate is left-multiplied by its matrix on
+    the (2^k, -1) block whose rows its targets index (most significant
+    first).  When those targets already lead the axis order, as along a
+    multiplexor whose rotations share one target, the block is a reshape of
+    the state; otherwise the targets are transposed to the front, which
+    copies once, and the new axis order is recorded instead of moving axes
+    back.  The two paths agree exactly: each entry of a product with a 0/1
+    matrix is one amplitude times 1 plus exact zeros.  One transpose
+    restores the canonical order at the end.  Targets are assumed in range,
+    as a `Circuit` checks, and parameter counts as a `GateApplication` does.
     """
     n = amplitudes.size.bit_length() - 1
     shape = (2,) * n
     psi = amplitudes.reshape(shape).copy()
-    order = list(range(n - 1, -1, -1))
-    exchanges: dict[tuple, tuple] = {}
+    order = tuple(range(n - 1, -1, -1))
+    exchanges: dict[tuple, tuple] = {}  # by (kind, targets), for this order
     for g in gs:
-        pairs = gates.EXCHANGES.get(g.kind)
-        if pairs is not None:
-            key = (g.kind, *map(order.index, g.targets))
-            exchange = exchanges.get(key)
+        kind, targets = g.kind, g.targets
+        if kind in gates.EXCHANGES:
+            exchange = exchanges.get((kind, targets))
             if exchange is None:
-                exchange = exchanges[key] = _merged_exchange(n, key[1:], pairs)
+                exchange = exchanges[kind, targets] = _merged_exchange(
+                    n, kind, tuple(map(order.index, targets)))
             runs, selections = exchange
             view = psi.reshape(runs) if len(runs) < n else psi  # else nothing merges
             for first, second in selections:
@@ -159,21 +163,30 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
                 held = a.copy()
                 a[...] = b
                 b[...] = held
-        else:
-            front = [order.index(q) for q in reversed(g.targets)]
-            perm = front + [a for a in range(n) if a not in front]
-            block = psi.transpose(perm).reshape(1 << len(front), -1)
-            psi = (g.unitary() @ block).reshape(shape)
-            order = [order[a] for a in perm]
+            continue
+        k = len(targets)
+        m = g.matrix if kind == gates.CUSTOM else gates.CATALOG[kind].matrix_fn(*g.params)
+        if order[:k] == targets[::-1]:
+            psi = (m @ psi.reshape(1 << k, -1)).reshape(shape)
+            continue
+        front = [order.index(q) for q in reversed(targets)]
+        perm = front + [a for a in range(n) if a not in front]
+        block = psi.transpose(perm).reshape(1 << k, -1)
+        psi = (m @ block).reshape(shape)
+        order = tuple([order[a] for a in perm])
+        exchanges = {}
     return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
 
 
-def _merged_exchange(n: int, axes: tuple[int, ...], pairs) -> tuple[list[int], list]:
+@functools.lru_cache(maxsize=4096)
+def _merged_exchange(n: int, kind: str, axes: tuple[int, ...]) -> tuple[tuple, tuple]:
     """The shape of the view of a (2,)*n state in which target j's axis
     axes[j] stands alone between merged runs of the other axes, and, for
-    each index pair, the two indices into it selecting the sub-arrays where
-    target j has the value of bit j of the pair's index.  The trailing
-    Ellipsis keeps a full index a writable 0-d view instead of a scalar."""
+    each index pair the permutation gate `kind` exchanges, the two indices
+    into it selecting the sub-arrays where target j has the value of bit j
+    of the pair's index.  The trailing Ellipsis keeps a full index a
+    writable 0-d view instead of a scalar.  Both depend only on the
+    arguments, so they are kept across calls."""
     runs: list[int] = []
     where = [0] * len(axes)  # the view axis of each target
     prev = -1
@@ -186,14 +199,14 @@ def _merged_exchange(n: int, axes: tuple[int, ...], pairs) -> tuple[list[int], l
     if prev < n - 1:
         runs.append(1 << (n - 1 - prev))
     selections = []
-    for i, j in pairs:
+    for i, j in gates.EXCHANGES[kind]:
         first = [slice(None)] * len(runs)
         second = first.copy()
         for t, w in enumerate(where):
             first[w] = (i >> t) & 1
             second[w] = (j >> t) & 1
         selections.append(((*first, Ellipsis), (*second, Ellipsis)))
-    return runs, selections
+    return tuple(runs), tuple(selections)
 
 
 def compose(*circuits: Circuit, name: str = "") -> Circuit:

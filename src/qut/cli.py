@@ -154,11 +154,11 @@ def _cmd_bench(args) -> int:
         config = bench.ExperimentConfig.from_json(Path(args.config).read_text())
     except OSError as exc:
         raise CliIoError(f"cannot read {args.config}: {exc}")
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: nesting too deep
         raise CliIoError(f"bad config: {exc}")
     try:
         pairs = bench.load_corpus(config.corpus)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CliIoError(f"cannot load corpus: {exc}")
     rows = bench.run_benchmark(pairs, config)
     Path(args.out).write_text(bench.rows_to_csv(rows))

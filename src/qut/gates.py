@@ -22,12 +22,12 @@ CUSTOM = "unitary"
 
 def _rx(theta: float) -> np.ndarray:
     c, s = cos(theta / 2), sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array((c, -1j * s, -1j * s, c), dtype=complex).reshape(2, 2)
 
 
 def _ry(theta: float) -> np.ndarray:
     c, s = cos(theta / 2), sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array((c, -s, s, c), dtype=complex).reshape(2, 2)
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -42,20 +42,16 @@ def _r(theta: float, phi: float) -> np.ndarray:
     # exp[-i theta/2 (cos(phi) X + sin(phi) Y)]
     c, s = cos(theta / 2), sin(theta / 2)
     return np.array(
-        [[c, -1j * s * np.exp(-1j * phi)], [-1j * s * np.exp(1j * phi), c]],
-        dtype=complex,
-    )
+        (c, -1j * s * np.exp(-1j * phi), -1j * s * np.exp(1j * phi), c), dtype=complex
+    ).reshape(2, 2)
 
 
 def controlled(base: np.ndarray, num_controls: int = 1) -> np.ndarray:
     """Control `base` on `num_controls` qubits; controls occupy the low index bits."""
-    k = base.shape[0]
     mask = (1 << num_controls) - 1
-    dim = k << num_controls
-    out = np.eye(dim, dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            out[(i << num_controls) | mask, (j << num_controls) | mask] = base[i, j]
+    out = np.eye(base.shape[0] << num_controls, dtype=complex)
+    # the indices whose control bits are all set: mask, mask + 2^c, ...
+    out[mask::mask + 1, mask::mask + 1] = base
     return out
 
 

@@ -152,7 +152,11 @@ def parse_json(text: str) -> Circuit:
 
 
 def emit_json(c: Circuit) -> str:
-    return json.dumps(circuit_to_dict(c), indent=2)
+    """The circuit as JSON with one gate object per line.  Each object is
+    written whole by json's C encoder, which an `indent` would bypass."""
+    gate_lines = ",\n".join(json.dumps(g) for g in circuit_to_dict(c)["gates"])
+    head = f'{{"num_qubits": {json.dumps(c.num_qubits)}, "name": {json.dumps(c.name)}'
+    return f'{head}, "gates": [\n{gate_lines}\n]}}'
 
 
 def load_circuit(path: str | Path, diagnostics: list[ParseDiagnostic] | None = None,

@@ -52,12 +52,19 @@ _TOKEN = rf"{_NAME}|{_UNSIGNED}|->|[()\[\],;+\-*/]"
 # these patterns are compiled on first use, through re's cache.
 _TOKENS = rf"\s*({_TOKEN}|\S.*)"
 
+# An argument whose index has few enough digits for int() to read without
+# reaching its digit limit.
+_PLAIN_ARGUMENT = rf"\s*({_NAME})\s*\[\s*(\d{{1,9}})\s*\]\s*"
+
 # A statement's head; its parameter text, when that holds no parentheses,
 # either as one signed numeric literal, which float() reads exactly as the
-# evaluator would, or as any other text; and the rest: the argument list, or
-# a parameter list with nested parentheses.
-_STATEMENT_RE = re.compile(
-    rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?(.*)", re.S)
+# evaluator would, or as any other text; and the rest: one to three plain
+# arguments, as name and index pairs, when that is all it holds, else as
+# text, which may also be a parameter list with nested parentheses.  It
+# takes nearly 1 ms to compile, so `parse_qasm` compiles it on first use,
+# through re's cache, and importing qut does not pay for it.
+_STATEMENT = (rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?"
+              rf"(?:{_PLAIN_ARGUMENT}(?:,{_PLAIN_ARGUMENT}(?:,{_PLAIN_ARGUMENT})?)?\Z|(.*))")
 _ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
 
 
@@ -178,6 +185,17 @@ def _argument(text: str) -> tuple[str, int, int]:
     raise _StatementError("expected argument of the form name[index]")
 
 
+def _arguments(text: str):
+    """The register name and index of each ','-separated argument of `text`,
+    read one at a time: the caller checks an argument's name and index
+    before anything after them in that argument, or in the next, is read."""
+    for arg in text.split(","):
+        name, index, end = _argument(arg)
+        yield name, index
+        if end != len(arg):
+            raise _StatementError("expected ',' between gate arguments")
+
+
 def _reject(text: str, statements: list[str], line: int, message: str) -> NoReturn:
     """Raise the first error of the program `text`, split at ';' into
     `statements`: the first character that starts no token, else a last
@@ -237,17 +255,19 @@ def parse_qasm(
     if statements[-1].strip() or len(statements) < 2 or statements[0].split() != ["OPENQASM", "2.0"]:
         _reject(text, statements, 1, "missing 'OPENQASM 2.0;' header")
 
+    statement = re.compile(_STATEMENT, re.S).match
     qreg_name: str | None = None
     num_qubits = 0
     built: list[GateApplication] = []
     measured: list[int] = []
     try:
         for at, stmt in enumerate(statements[1:-1], start=1):
-            m = _STATEMENT_RE.match(stmt)
+            m = statement(stmt)
             if m is None:
                 head = re.match(_TOKENS, stmt)
                 raise _StatementError(f"unknown gate name '{head[1] if head else ';'}'")
-            head, literal, param_text, args = m.groups()
+            (head, literal, param_text,
+             name0, index0, name1, index1, name2, index2, args) = m.groups()
             if head not in gates.CATALOG:
                 if head == "qreg" or head == "creg":
                     rest = stmt[m.end(1):]
@@ -280,19 +300,24 @@ def parse_qasm(
                     raise _StatementError(f"parameter expression evaluates to {params[0]}")
             elif param_text is not None:
                 params = _parameters(param_text, ")")
-            elif args.startswith("("):
+            elif args is not None and args.startswith("("):
                 params, args = _nested_parameters(args)
             else:
                 params = ()
+            if args is None:  # plain arguments, read by the match
+                arguments = [(name0, int(index0))]
+                if name1 is not None:
+                    arguments.append((name1, int(index1)))
+                    if name2 is not None:
+                        arguments.append((name2, int(index2)))
+            else:
+                arguments = _arguments(args)
             targets = []
-            for arg in args.split(","):
-                name, index, end = _argument(arg)
+            for name, index in arguments:
                 if name != qreg_name:
                     raise _StatementError(f"unknown register '{name}'")
                 if index >= num_qubits:
                     raise _StatementError(f"qubit index {index} >= register size {num_qubits}")
-                if end != len(arg):
-                    raise _StatementError("expected ',' between gate arguments")
                 targets.append(index)
             try:
                 built.append(GateApplication(head, targets, params))
@@ -302,8 +327,9 @@ def parse_qasm(
         _reject(text, statements, next(_statement_lines(statements, [at])), str(exc))
     if qreg_name is None:
         raise QasmError(ParseDiagnostic(1, 1, "program declares no qreg"))
-    diagnostics += (ParseDiagnostic(line, 1, "measurement stripped", "warning")
-                    for line in _statement_lines(statements, measured))
+    if measured:
+        diagnostics += (ParseDiagnostic(line, 1, "measurement stripped", "warning")
+                        for line in _statement_lines(statements, measured))
     return Circuit(num_qubits, tuple(built))
 
 

@@ -38,7 +38,7 @@ class ShotEstimate:
     shots: int
     sigma11: float
     p_e: float
-    method: str  # "closed_form" | "numeric_minimization"
+    method: str  # "closed_form": every estimate uses the pure-state closed form
 
     def __post_init__(self):
         if self.shots < 1:

@@ -9,6 +9,7 @@ import math
 import statistics
 
 import numpy as np
+import pytest
 
 from qut import bench, mutation
 from qut.circuit import (
@@ -149,6 +150,7 @@ class TestCriterion3ZeroFalsePositives:
     paired with an independently synthesized preparation of their own
     output state, at 100 shots each."""
 
+    @pytest.mark.slow
     def test_zero_false_positive_law(self):
         trials = 10 ** 4
         passes = 0
@@ -167,6 +169,7 @@ class TestCriterion3ZeroFalsePositives:
 
 
 class TestCriterion4QcbOracle:
+    @pytest.mark.slow
     def test_numeric_matches_closed_form(self):
         rng = np.random.default_rng(1)
         worst = 0.0
@@ -198,6 +201,7 @@ class TestCriterion5DeskBenchmark:
     """Scaled mutation benchmark: 100 random circuits, QGD and RGI mutants,
     20 repetitions, 10^4-shot cap."""
 
+    @pytest.mark.slow
     def test_desk_benchmark(self):
         pairs = []
         for i in range(100):

@@ -454,6 +454,7 @@ class TestMetrics:
 
 
 class TestSeededRepeat:
+    @pytest.mark.slow
     @settings(max_examples=15, deadline=None)
     @given(circuits=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
                                        st.integers(0, 2**16), st.integers(0, 2**16)),

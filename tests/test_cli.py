@@ -632,3 +632,115 @@ class TestSubcommandContract:
             for argv in runs:
                 code, err = self._run(*argv)
                 assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+
+
+# JSON values of every type, nested a little
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# texts that are not JSON, or JSON nested past the decoder's recursion limit
+_RAW_TEXTS = ["", "{", "[" * 5000 + "]" * 5000, '{"corpus": 1']
+_MANIFEST = "<the generated manifest>"
+
+
+def _small_count(value) -> bool:
+    # a count field that validates stays small, so every example runs quickly
+    return not (isinstance(value, int) and not isinstance(value, bool) and value > 3)
+
+
+_VALID_FIELDS = {
+    "corpus": st.just(_MANIFEST),
+    "tests": st.lists(st.sampled_from(sorted(_TEST_NAMES.values())), min_size=1, max_size=3,
+                      unique=True),
+    "p_t": st.sampled_from([0.05, 0.5]),
+    "p_e": st.sampled_from([0.05, 0.5]),
+    "shot_cap_absolute": st.integers(1, 3),
+    "cap_factor": st.sampled_from([0.5, 2.0]),
+    "repetitions": st.integers(1, 3),
+    "base_seed": st.integers(0, 2 ** 64),
+    "mc_reps": st.integers(1, 3),
+    "record_timing": st.booleans(),
+}
+_COUNT_FIELDS = ("shot_cap_absolute", "repetitions", "mc_reps")
+
+
+@st.composite
+def bench_configs(draw):
+    """A config that validates, with at most one field, or an unknown key,
+    holding any JSON value instead (a count that validates is at most 3, so
+    every example runs quickly); any JSON value; or ("text", a text that is
+    not JSON)."""
+    form = draw(st.sampled_from(["fields"] * 4 + ["json", "text"]))
+    if form == "json":
+        return draw(_JSON_VALUES)
+    if form == "text":
+        return "text", draw(st.sampled_from(_RAW_TEXTS))
+    config = {name: draw(valid) for name, valid in _VALID_FIELDS.items()
+              if name in ("corpus", *_COUNT_FIELDS) or draw(st.booleans())}
+    odd = draw(st.none() | st.sampled_from([*_VALID_FIELDS, "unknown"]))
+    if odd is not None:
+        config[odd] = draw(_JSON_VALUES.filter(_small_count) if odd in _COUNT_FIELDS
+                           else _JSON_VALUES)
+    return config
+
+
+# A corpus manifest: mostly lines naming the generated files, now and then a
+# missing file or a directory; some of any JSON value, or of a text that is
+# not JSON.
+_NAMED = st.sampled_from(["one.qasm", "other.qasm", "two.json"] * 3 + ["missing.qasm", "."])
+_PAIR_LINES = st.fixed_dictionaries({"pair_id": st.sampled_from(["a", "b", 1]),
+                                     "original": _NAMED, "mutant": _NAMED}).map(json.dumps)
+bench_corpora = st.lists(st.one_of(_PAIR_LINES, _PAIR_LINES, _PAIR_LINES,
+                                   _JSON_VALUES.map(json.dumps), st.sampled_from(_RAW_TEXTS)),
+                         min_size=1, max_size=3)
+
+
+class TestBenchContract:
+    """`qut bench` on generated configs and corpora ends in exit 0, 2 or 3
+    without a traceback."""
+
+    @staticmethod
+    def _run(config_text: str, directory: Path):
+        path = directory / "config.json"
+        path.write_text(config_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bench", "--config", str(path), "--out", str(directory / "out.csv")])
+        return code, err.getvalue()
+
+    @settings(max_examples=120, deadline=None)
+    @given(config=bench_configs(), lines=bench_corpora)
+    def test_every_config_and_corpus_ends_in_a_documented_exit_code(self, config, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_circuit(root, "one", Circuit(1, (GateApplication("h", (0,)),)), "qasm")
+            _write_circuit(root, "other", Circuit(1), "qasm")
+            _write_circuit(root, "two", Circuit(2, (GateApplication("h", (0,)),
+                                                    GateApplication("cx", (0, 1)))), "json")
+            manifest = root / "corpus.jsonl"
+            manifest.write_text("\n".join(lines))
+            if isinstance(config, tuple):
+                text = config[1]
+            else:
+                if isinstance(config, dict) and config.get("corpus") == _MANIFEST:
+                    config = {**config, "corpus": str(manifest)}
+                text = json.dumps(config)
+            code, err = self._run(text, root)
+        assert code in (0, 2, 3) and "Traceback" not in err, (text[:200], lines, code, err)
+
+    @pytest.mark.parametrize("config, message", [
+        (json.dumps({"tests": "chi2"}), "bad config: tests must be a list of test names"),
+        (json.dumps({"tests": {"chi2": 1}}), "bad config: tests must be a list of test names"),
+        ("[" * 5000 + "]" * 5000, "bad config: maximum recursion depth exceeded"),
+    ])
+    def test_bad_config_is_three_with_its_reason(self, tmp_path, config, message):
+        code, err = self._run(config, tmp_path)
+        assert code == 3 and err.startswith(f"error: {message}"), err
+
+    def test_deeply_nested_corpus_line_is_three(self, tmp_path):
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text("[" * 5000 + "]" * 5000)
+        code, err = self._run(json.dumps({"corpus": str(manifest)}), tmp_path)
+        assert code == 3 and err.startswith("error: cannot load corpus: maximum recursion"), err

@@ -123,3 +123,45 @@ def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
     assert gates.EXCHANGES == {
         "id": (), "x": ((0, 1),), "cx": ((1, 3),), "swap": ((1, 2),),
         "ccx": ((3, 7),), "cswap": ((3, 5),)}
+
+
+def _controlled_loop(base, num_controls=1):
+    """Reference: `gates.controlled` entry by entry."""
+    k = base.shape[0]
+    mask = (1 << num_controls) - 1
+    out = np.eye(k << num_controls, dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[(i << num_controls) | mask, (j << num_controls) | mask] = base[i, j]
+    return out
+
+
+def _rotation_reference(kind, theta, phi=0.0):
+    """Reference: the rotation matrices written as nested lists."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if kind == "rx":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if kind == "ry":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -1j * s * np.exp(-1j * phi)], [-1j * s * np.exp(1j * phi), c]],
+                    dtype=complex)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.3, -0.3, math.pi, -2 * math.pi, 7.5, 1e-300,
+                                   -1e300])
+def test_rotation_and_controlled_matrices_keep_every_bit(theta):
+    # signed zeros included: tobytes compares them, array_equal would not
+    for kind in ("rx", "ry"):
+        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+            _rotation_reference(kind, theta).tobytes(), kind
+    for phi in (0.0, -0.0, 1.2, -2.5):
+        assert gates.gate_matrix("r", (theta, phi)).tobytes() == \
+            _rotation_reference("r", theta, phi).tobytes(), phi
+    for kind in ("crx", "cry", "crz", "cp"):
+        base = gates.gate_matrix(kind[1:], (theta,))
+        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+            _controlled_loop(base).tobytes(), kind
+    base = gates.gate_matrix("rx", (theta,))
+    assert gates.controlled(base, 2).tobytes() == _controlled_loop(base, 2).tobytes()
+    swap = gates.gate_matrix("swap")
+    assert gates.controlled(swap, 1).tobytes() == _controlled_loop(swap, 1).tobytes()

@@ -256,6 +256,48 @@ def test_accepted_program_circuit_is_pinned(source, num_qubits, gate_list, warni
         (line, 1, "measurement stripped", "warning") for line in warning_lines]
 
 
+_SPACES = st.sampled_from(["", " ", "\t", "\n", " \r\n  "])
+
+
+@st.composite
+def spaced_programs(draw):
+    """A random circuit's canonical text, and the same program with drawn
+    whitespace wherever the grammar allows it, an empty parameter list on
+    some gates without parameters and leading zeros on some indices (twelve
+    of them make an index too long for the statement match to read)."""
+    c = random_circuit(draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                       seed=draw(st.integers(0, 2**32 - 1)))
+
+    def space(required=False):
+        return draw(_SPACES) or (" " if required else "")
+
+    def argument(index):
+        zeros = "0" * draw(st.sampled_from([0, 0, 1, 12]))
+        return f"{space()}q{space()}[{space()}{zeros}{index}{space()}]{space()}"
+
+    statements = [f"{space()}OPENQASM {space()}2.0{space()};",
+                  f"{space()}qreg {argument(c.num_qubits)};"]
+    for g in c.gates:
+        if g.params:
+            head = f"{g.kind}{space()}({','.join(space() + repr(p) + space() for p in g.params)})"
+        elif draw(st.booleans()):
+            head = f"{g.kind}{space()}({space()})"
+        else:
+            head = g.kind + space(required=True)
+        statements.append(f"{space()}{head}{','.join(argument(t) for t in g.targets)};")
+    return emit_qasm(c), "".join(statements) + space()
+
+
+@given(spaced_programs())
+@settings(max_examples=200, deadline=None)
+def test_spacing_variants_parse_as_the_canonical_text(programs):
+    canonical, spaced = programs
+    c = parse_qasm(canonical)
+    again = parse_qasm(spaced)
+    assert again.structurally_equal(c)
+    assert [g.params for g in again.gates] == [g.params for g in c.gates]
+
+
 class TestEmit:
     def test_empty_circuit(self):
         out = emit_qasm(Circuit(2))

@@ -42,6 +42,7 @@ class TestQcbExponent:
             assert minimum == pytest.approx(s11, abs=1e-9)
             assert argmin <= 0.01  # grid resolution
 
+    @pytest.mark.slow
     def test_pure_state_closed_form(self):
         # numeric minimizer agrees with -ln(sigma11) for pure states
         rng = np.random.default_rng(0)

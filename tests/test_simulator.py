@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qut import gates
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
 from qut.core import random_statevector
 from qut.jsonio import nearest_unitary
@@ -92,6 +93,33 @@ class TestKernelBitIdentity:
             c = Circuit(n, tuple(gs))
             assert np.array_equal(run_statevector(c).amplitudes,
                                   _moveaxis_oracle(c)), i
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_moveaxis_path_on_dense_preparations(self, n):
+        # multiplexors: runs of rotations on one target, which leads the
+        # axis order from the second on, between cx on that target
+        c = _dense_prep(n)
+        assert np.array_equal(run_statevector(c).amplitudes, _moveaxis_oracle(c))
+
+    def test_matches_the_moveaxis_path_on_custom_gates_whose_targets_lead(self):
+        # each non-permutation gate is followed by custom unitaries on the
+        # targets it left leading the axis order: all of them, and the last
+        rng = np.random.default_rng(2025)
+
+        def custom(targets):
+            k = len(targets)
+            z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            return GateApplication("unitary", targets, matrix=nearest_unitary(z))
+
+        for i in range(60):
+            n = 1 + i % 8
+            gs = []
+            for g in random_circuit(n, 1 + i % 4, seed=i).gates:
+                gs.append(g)
+                if g.kind not in gates.EXCHANGES:
+                    gs += [custom(g.targets), custom(g.targets), custom(g.targets[-1:])]
+            c = Circuit(n, tuple(gs))
+            assert np.array_equal(run_statevector(c).amplitudes, _moveaxis_oracle(c)), i
 
 
 # SHA-256 of the amplitude bytes `run_statevector` gives, recorded from the
