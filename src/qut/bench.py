@@ -165,6 +165,11 @@ def min_shots_statistical(
     return None
 
 
+def _wrong_type(value, types) -> bool:
+    """True unless `value` is one of `types`; a bool counts as none of them."""
+    return isinstance(value, bool) or not isinstance(value, types)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus: str = ""
@@ -179,18 +184,31 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        # JSON gives booleans where numbers are meant, and numbers and
+        # strings where booleans are: each field is checked for its type
+        if not isinstance(self.corpus, str):
+            raise ValueError(f"corpus must be a path string, got {self.corpus!r}")
         if not isinstance(self.tests, (list, tuple)):
             raise ValueError("tests must be a list of test names")
+        if not self.tests:
+            raise ValueError("tests must name at least one test")
         object.__setattr__(self, "tests", tuple(self.tests))
+        if not isinstance(self.record_timing, bool):
+            raise ValueError(
+                f"record_timing must be true or false, got {self.record_timing!r}")
+        if _wrong_type(self.base_seed, int):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         for name in ("repetitions", "shot_cap_absolute", "mc_reps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if _wrong_type(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("p_t", "p_e"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0.0 < self.cap_factor < math.inf:
-            raise ValueError("cap_factor must be positive and finite")
+            value = getattr(self, name)
+            if _wrong_type(value, (int, float)) or not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
+        if _wrong_type(self.cap_factor, (int, float)) or not 0.0 < self.cap_factor < math.inf:
+            raise ValueError(
+                f"cap_factor must be a positive finite number, got {self.cap_factor!r}")
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
@@ -232,8 +250,9 @@ class CorpusPair:
 
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
-    paths relative to the manifest.  A repeated pair_id raises ValueError:
-    rows are keyed and ranked by it."""
+    paths relative to the manifest.  A repeated pair_id raises ValueError,
+    since rows are keyed and ranked by it, and so does a manifest with no
+    pair."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs, ids = [], set()
@@ -250,6 +269,8 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
             load_circuit(base / entry["original"]),
             load_circuit(base / entry["mutant"]),
         ))
+    if not pairs:
+        raise ValueError(f"{manifest_path} holds no pairs")
     return pairs
 
 

@@ -2,20 +2,24 @@
 
 Exit codes: 0 pass/success, 1 fail verdict, 2 usage error, 3 I/O or parse
 error.
+
+`_COMMANDS` holds each subcommand's help, arguments and handler.  One call
+builds the parser of the subcommand it runs and no other, and the handlers
+of `bench`, `mutate` and `estimate-shots` import their modules when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from pathlib import Path
 
-from . import bench, mutation
 from .circuit import Circuit
 from .jsonio import CircuitJsonError, emit_json, load_circuit
 from .qasm import ParseDiagnostic, QasmError, emit_qasm
-from .shots import EquivalentStatesError, estimate_shots_for_pair
 from .testing import (
     DEFAULT_TOLERANCE,
     ExpectedSpec,
@@ -97,6 +101,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_estimate_shots(args) -> int:
+    from .shots import EquivalentStatesError, estimate_shots_for_pair
+
     warnings: list[str] = []
     program = _load_circuit(args.program, warnings)
     expected = _load_circuit(args.expected, warnings, states=True)
@@ -112,6 +118,8 @@ def _cmd_estimate_shots(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    from . import mutation
+
     circuit = _load_circuit(args.circuit)
     operators = [op.strip().lower() for op in args.operators.split(",") if op.strip()]
     unknown = set(operators) - {"qgr", "qgd", "qgi", "rgi"}
@@ -150,6 +158,8 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
+
     try:
         config = bench.ExperimentConfig.from_json(Path(args.config).read_text())
     except OSError as exc:
@@ -176,49 +186,75 @@ def _cmd_parse(args) -> int:
     return EXIT_PASS
 
 
+# name -> (help, argument declarations, handler)
+_COMMANDS = {
+    "run": ("run one quantum unit test", (
+        ("--program", {"required": True}),
+        ("--input", {"default": None, "help": "preparation circuit W"}),
+        ("--expected", {"required": True}),
+        ("--test", {"required": True, "choices": sorted(_TEST_NAMES)}),
+        ("--shots", {"type": int, "default": 1024}),
+        ("--p-value", {"type": float, "default": 0.05}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--mc-reps", {"type": int, "default": 1000}),
+        ("--tolerance", {"type": float, "default": DEFAULT_TOLERANCE}),
+        ("--phase-mode", {"choices": ["global", "strict"], "default": "global"}),
+    ), _cmd_run),
+    "estimate-shots": ("Chernoff-bound shot estimate", (
+        ("--program", {"required": True}),
+        ("--expected", {"required": True}),
+        ("--pe", {"type": float, "default": 0.05}),
+    ), _cmd_estimate_shots),
+    "mutate": ("generate mutants of a circuit", (
+        ("--circuit", {"required": True}),
+        ("--operators", {"default": "qgr,qgd,qgi,rgi"}),
+        ("--fraction", {"type": float, "default": 1.0}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--rgi-count", {"type": int, "default": 1}),
+        ("--out", {"required": True}),
+    ), _cmd_mutate),
+    "bench": ("run a benchmark from a config file", (
+        ("--config", {"required": True}),
+        ("--out", {"required": True}),
+    ), _cmd_bench),
+    "parse": ("parse and re-emit a circuit file", (
+        ("--in", {"dest": "infile", "required": True}),
+        ("--emit", {"choices": ["json", "qasm"], "default": "qasm"}),
+    ), _cmd_parse),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, built when argparse dispatches to it.  argparse
+    calls nothing on it but `parse_known_args`, so its `ArgumentParser`
+    set-up and its argument declarations wait until then, and a call builds
+    no other subcommand's parser."""
+
+    def __init__(self, *, declarations, handler, **kwargs):
+        self._pending = (kwargs, declarations, handler)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            kwargs, declarations, handler = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            for flag, options in declarations:
+                self.add_argument(flag, **options)
+            self.set_defaults(func=handler)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qut",
+    # argparse would compute this width again for every argument it declares
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="qut", formatter_class=formatter,
                                      description="quantum unit-test runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one quantum unit test")
-    run.add_argument("--program", required=True)
-    run.add_argument("--input", default=None, help="preparation circuit W")
-    run.add_argument("--expected", required=True)
-    run.add_argument("--test", required=True, choices=sorted(_TEST_NAMES))
-    run.add_argument("--shots", type=int, default=1024)
-    run.add_argument("--p-value", type=float, default=0.05)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--mc-reps", type=int, default=1000)
-    run.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    run.add_argument("--phase-mode", choices=["global", "strict"],
-                     default="global")
-    run.set_defaults(func=_cmd_run)
-
-    est = sub.add_parser("estimate-shots", help="Chernoff-bound shot estimate")
-    est.add_argument("--program", required=True)
-    est.add_argument("--expected", required=True)
-    est.add_argument("--pe", type=float, default=0.05)
-    est.set_defaults(func=_cmd_estimate_shots)
-
-    mut = sub.add_parser("mutate", help="generate mutants of a circuit")
-    mut.add_argument("--circuit", required=True)
-    mut.add_argument("--operators", default="qgr,qgd,qgi,rgi")
-    mut.add_argument("--fraction", type=float, default=1.0)
-    mut.add_argument("--seed", type=int, default=0)
-    mut.add_argument("--rgi-count", type=int, default=1)
-    mut.add_argument("--out", required=True)
-    mut.set_defaults(func=_cmd_mutate)
-
-    bnc = sub.add_parser("bench", help="run a benchmark from a config file")
-    bnc.add_argument("--config", required=True)
-    bnc.add_argument("--out", required=True)
-    bnc.set_defaults(func=_cmd_bench)
-
-    prs = sub.add_parser("parse", help="parse and re-emit a circuit file")
-    prs.add_argument("--in", dest="infile", required=True)
-    prs.add_argument("--emit", choices=["json", "qasm"], default="qasm")
-    prs.set_defaults(func=_cmd_parse)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
+    for name, (help_text, declarations, handler) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, formatter_class=formatter,
+                       declarations=declarations, handler=handler)
     return parser
 
 

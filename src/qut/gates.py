@@ -7,6 +7,7 @@ corresponds to target t_j.  Controlled gates list their control qubits first.
 
 from __future__ import annotations
 
+from cmath import exp
 from dataclasses import dataclass
 from math import cos, sin
 from typing import Callable
@@ -31,18 +32,19 @@ def _ry(theta: float) -> np.ndarray:
 
 
 def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
+    return np.array((exp(-0.5j * theta), 0, 0, exp(0.5j * theta)),
+                    dtype=complex).reshape(2, 2)
 
 
 def _p(theta: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+    return np.array((1, 0, 0, exp(1j * theta)), dtype=complex).reshape(2, 2)
 
 
 def _r(theta: float, phi: float) -> np.ndarray:
     # exp[-i theta/2 (cos(phi) X + sin(phi) Y)]
     c, s = cos(theta / 2), sin(theta / 2)
     return np.array(
-        (c, -1j * s * np.exp(-1j * phi), -1j * s * np.exp(1j * phi), c), dtype=complex
+        (c, -1j * s * exp(-1j * phi), -1j * s * exp(1j * phi), c), dtype=complex
     ).reshape(2, 2)
 
 

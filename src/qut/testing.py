@@ -20,6 +20,7 @@ the swap and inverse verdicts all ask it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -40,6 +41,7 @@ MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
 PEARSON_MIN_SHOTS = 13
 DEFAULT_TOLERANCE = 1e-10
 MULTINOMIAL_ENUM_LIMIT = 10**6
+_ENUM_CHUNK = 1 << 18  # counts per log-pmf call of the exact multinomial
 
 # ExpectedSpec: either a preparation circuit for |psi_E> or the vector itself.
 ExpectedSpec = Circuit | StateVector
@@ -94,32 +96,33 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
     """p = sum of probabilities of count vectors no more likely than observed.
 
     Enumerates every composition of S into k categories; guarded by
-    MULTINOMIAL_ENUM_LIMIT.
+    MULTINOMIAL_ENUM_LIMIT.  A composition is k - 1 bar positions among
+    S + k - 1 slots (stars and bars); `itertools.combinations` lists them in
+    the lexicographic order of the counts, and about `_ENUM_CHUNK` counts go
+    through one `_multinomial_logpmf` call at a time, so memory stays bounded
+    at the limit.  The probabilities are added one at a time in that order.
     """
     k = len(probs)
     shots = int(observed.sum())
-    if comb(shots + k - 1, k - 1) > MULTINOMIAL_ENUM_LIMIT:
+    vectors = comb(shots + k - 1, k - 1)
+    if vectors > MULTINOMIAL_ENUM_LIMIT:
         raise MultinomialIntractableError(
-            f"{comb(shots + k - 1, k - 1)} count vectors exceed enumeration "
+            f"{vectors} count vectors exceed enumeration "
             f"limit {MULTINOMIAL_ENUM_LIMIT}; use the Monte Carlo variant"
         )
     log_obs = _multinomial_logpmf(observed, shots, probs)
+    bars = combinations(range(shots + k - 1), k - 1)
+    rows = max(1, _ENUM_CHUNK // k)
     total = 0.0
-    vec = np.zeros(k, dtype=np.int64)
-
-    def rec(idx: int, remaining: int):
-        nonlocal total
-        if idx == k - 1:
-            vec[idx] = remaining
-            lp = _multinomial_logpmf(vec, shots, probs)
-            if lp <= log_obs + 1e-9:
-                total += np.exp(lp)
-            return
-        for c in range(remaining + 1):
-            vec[idx] = c
-            rec(idx + 1, remaining - c)
-
-    rec(0, shots)
+    for start in range(0, vectors, rows):
+        n = min(rows, vectors - start)
+        edges = np.empty((n, k + 1), dtype=np.int64)
+        edges[:, 0], edges[:, k] = -1, shots + k - 1
+        edges[:, 1:k] = np.fromiter(chain.from_iterable(islice(bars, n)), np.int64,
+                                    n * (k - 1)).reshape(n, k - 1)
+        lp = _multinomial_logpmf(np.diff(edges) - 1, shots, probs)
+        # add.accumulate adds left to right; np.sum would add pairwise
+        total = np.add.accumulate(np.r_[total, np.exp(lp[lp <= log_obs + 1e-9])])[-1]
     return float(min(total, 1.0))
 
 

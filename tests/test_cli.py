@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qut
+from qut import cli
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.cli import _TEST_NAMES, main
 from qut.jsonio import emit_json
 from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import MAX_SHOTS, run_statevector
-from qut.testing import statevector_verdict
+from qut.testing import DEFAULT_TOLERANCE, statevector_verdict
 from test_jsonio import edited_circuit_objects
 from test_qasm import edited_programs, token_programs
 
@@ -173,6 +175,19 @@ class TestExitCodes:
         assert run_cli(*argv, str(zero)) == 1
         assert json.loads(capsys.readouterr().out) == {"outcome": "fail",
                                                        "p_value": 0.0}
+
+    def test_multinomial_over_a_thousand_outcomes_is_a_verdict(self, tmp_path, capsys):
+        # a 10-qubit uniform state has 1,024 outcomes; one shot gives 1,024
+        # count vectors, all equally likely.  The recursive enumeration went
+        # one call deeper per outcome and ended in a RecursionError traceback
+        uniform = tmp_path / "uniform.qasm"
+        uniform.write_text(emit_qasm(Circuit(10, tuple(GateApplication("h", (q,))
+                                                       for q in range(10)))))
+        assert run_cli("run", "--program", str(uniform), "--expected", str(uniform),
+                       "--test", "multinomial", "--shots", "1") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"outcome": "pass", "p_value": 1.0}
+        assert captured.err == ""
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_negative_or_nan_tolerance_is_two(self, tmp_path, capsys,
@@ -378,6 +393,32 @@ class TestInputContract:
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
         assert self._bench(tmp_path, [pair], **config) == (3, False)
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"tests": []}, "tests must name at least one test"),
+        ({"cap_factor": True}, "cap_factor must be a positive finite number, got True"),
+        ({"cap_factor": "2"}, "cap_factor must be a positive finite number, got '2'"),
+        ({"p_t": True}, "p_t must be a number in (0, 1), got True"),
+        ({"base_seed": "abc"}, "base_seed must be an integer, got 'abc'"),
+        ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+        ({"base_seed": False}, "base_seed must be an integer, got False"),
+        ({"record_timing": "no"}, "record_timing must be true or false, got 'no'"),
+        ({"record_timing": 0}, "record_timing must be true or false, got 0"),
+        ({"corpus": 1}, "corpus must be a path string, got 1"),
+    ])
+    def test_mistyped_bench_config_is_three_with_its_reason(
+            self, files, tmp_path, capsys, config, message):
+        # "tests": [] used to end in "no rows to summarize" (exit 2), the
+        # others ran: true as a cap factor of 1.0, "abc" or 1.5 mixed into
+        # the seeds as text, and "no" as a true record_timing
+        pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
+        assert self._bench(tmp_path, [pair], **config) == (3, False)
+        assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+    def test_empty_corpus_is_three(self, tmp_path, capsys):
+        assert self._bench(tmp_path, []) == (3, False)
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load corpus: ") and "holds no pairs" in err, err
 
     def test_repeated_pair_id_is_rejected(self, files, tmp_path, capsys):
         # rows are keyed and ranked by pair_id, so two pairs may not share one
@@ -744,3 +785,236 @@ class TestBenchContract:
         manifest.write_text("[" * 5000 + "]" * 5000)
         code, err = self._run(json.dumps({"corpus": str(manifest)}), tmp_path)
         assert code == 3 and err.startswith("error: cannot load corpus: maximum recursion"), err
+
+
+# `qut -h` and each `qut <cmd> -h` at COLUMNS=80, as the eagerly declared
+# parser printed them
+_HELP_TEXTS = {
+    (): """\
+usage: qut [-h] {run,estimate-shots,mutate,bench,parse} ...
+
+quantum unit-test runner
+
+positional arguments:
+  {run,estimate-shots,mutate,bench,parse}
+    run                 run one quantum unit test
+    estimate-shots      Chernoff-bound shot estimate
+    mutate              generate mutants of a circuit
+    bench               run a benchmark from a config file
+    parse               parse and re-emit a circuit file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("run",): """\
+usage: qut run [-h] --program PROGRAM [--input INPUT] --expected EXPECTED
+               --test
+               {chi2,g,inverse,mc-chi2,mc-g,mc-multinomial,multinomial,statevector,swap}
+               [--shots SHOTS] [--p-value P_VALUE] [--seed SEED]
+               [--mc-reps MC_REPS] [--tolerance TOLERANCE]
+               [--phase-mode {global,strict}]
+
+options:
+  -h, --help            show this help message and exit
+  --program PROGRAM
+  --input INPUT         preparation circuit W
+  --expected EXPECTED
+  --test {chi2,g,inverse,mc-chi2,mc-g,mc-multinomial,multinomial,statevector,swap}
+  --shots SHOTS
+  --p-value P_VALUE
+  --seed SEED
+  --mc-reps MC_REPS
+  --tolerance TOLERANCE
+  --phase-mode {global,strict}
+""",
+    ("estimate-shots",): """\
+usage: qut estimate-shots [-h] --program PROGRAM --expected EXPECTED [--pe PE]
+
+options:
+  -h, --help           show this help message and exit
+  --program PROGRAM
+  --expected EXPECTED
+  --pe PE
+""",
+    ("mutate",): """\
+usage: qut mutate [-h] --circuit CIRCUIT [--operators OPERATORS]
+                  [--fraction FRACTION] [--seed SEED] [--rgi-count RGI_COUNT]
+                  --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --circuit CIRCUIT
+  --operators OPERATORS
+  --fraction FRACTION
+  --seed SEED
+  --rgi-count RGI_COUNT
+  --out OUT
+""",
+    ("bench",): """\
+usage: qut bench [-h] --config CONFIG --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG
+  --out OUT
+""",
+    ("parse",): """\
+usage: qut parse [-h] --in INFILE [--emit {json,qasm}]
+
+options:
+  -h, --help          show this help message and exit
+  --in INFILE
+  --emit {json,qasm}
+""",
+}
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """Reference: every subcommand declared up front, each help text laid
+    out at the terminal width argparse reads when it formats."""
+    parser = argparse.ArgumentParser(prog="qut", description="quantum unit-test runner")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="run one quantum unit test")
+    run.add_argument("--program", required=True)
+    run.add_argument("--input", default=None, help="preparation circuit W")
+    run.add_argument("--expected", required=True)
+    run.add_argument("--test", required=True, choices=sorted(_TEST_NAMES))
+    run.add_argument("--shots", type=int, default=1024)
+    run.add_argument("--p-value", type=float, default=0.05)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--mc-reps", type=int, default=1000)
+    run.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    run.add_argument("--phase-mode", choices=["global", "strict"], default="global")
+    run.set_defaults(func=cli._cmd_run)
+
+    est = sub.add_parser("estimate-shots", help="Chernoff-bound shot estimate")
+    est.add_argument("--program", required=True)
+    est.add_argument("--expected", required=True)
+    est.add_argument("--pe", type=float, default=0.05)
+    est.set_defaults(func=cli._cmd_estimate_shots)
+
+    mut = sub.add_parser("mutate", help="generate mutants of a circuit")
+    mut.add_argument("--circuit", required=True)
+    mut.add_argument("--operators", default="qgr,qgd,qgi,rgi")
+    mut.add_argument("--fraction", type=float, default=1.0)
+    mut.add_argument("--seed", type=int, default=0)
+    mut.add_argument("--rgi-count", type=int, default=1)
+    mut.add_argument("--out", required=True)
+    mut.set_defaults(func=cli._cmd_mutate)
+
+    bnc = sub.add_parser("bench", help="run a benchmark from a config file")
+    bnc.add_argument("--config", required=True)
+    bnc.add_argument("--out", required=True)
+    bnc.set_defaults(func=cli._cmd_bench)
+
+    prs = sub.add_parser("parse", help="parse and re-emit a circuit file")
+    prs.add_argument("--in", dest="infile", required=True)
+    prs.add_argument("--emit", choices=["json", "qasm"], default="qasm")
+    prs.set_defaults(func=cli._cmd_parse)
+    return parser
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# Tokens of a `qut` argv: every subcommand's flags (so some land on the wrong
+# subcommand), help, abbreviations and unknown flags, and values of each kind.
+_FLAGS = ["--program", "--input", "--expected", "--test", "--shots", "--p-value", "--seed",
+          "--mc-reps", "--tolerance", "--phase-mode", "--pe", "--circuit", "--operators",
+          "--fraction", "--rgi-count", "--out", "--config", "--in", "--emit",
+          "-h", "--help", "--prog", "--p", "--bogus", "--"]
+_VALUES = ["{program}", "{expected}", "{state}", "{missing}", "{config}", "{out}",
+           "0", "1", "3", "-1", "0.5", "nan", "x", "chi2", "multinomial", "mc-g", "swap",
+           "inverse", "statevector", "bogus", "global", "strict", "json", "qasm", "qgd,rgi"]
+# one argv per subcommand that parses, for examples that get past argparse
+_VALID = {
+    "run": ["--program", "{program}", "--expected", "{expected}", "--shots", "3",
+            "--mc-reps", "5", "--test"],
+    "estimate-shots": ["--program", "{program}", "--expected", "{expected}"],
+    "mutate": ["--circuit", "{program}", "--operators", "qgd", "--out", "{out}"],
+    "bench": ["--config", "{config}", "--out", "{out}/rows.csv"],
+    "parse": ["--in", "{program}"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A `qut` argv: a subcommand (or an unknown one, or none), then tokens
+    drawn at random, or the subcommand's valid argv as it is or with a few
+    tokens inserted."""
+    command = draw(st.sampled_from([*_VALID, "bogus", "-h", None]))
+    tokens = st.sampled_from(_FLAGS) | st.sampled_from(_VALUES)
+    form = draw(st.sampled_from(["valid", "edited", "random"]))
+    if command in _VALID and form != "random":
+        argv = list(_VALID[command])
+        if command == "run":
+            argv.append(draw(st.sampled_from(sorted(_TEST_NAMES))))
+        for token in draw(st.lists(tokens, min_size=1, max_size=3)) if form == "edited" else ():
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    else:
+        argv = draw(st.lists(tokens, max_size=8))
+    return ([command] if command else []) + argv
+
+
+class TestParserDeclarations:
+    """Each call declares only the subcommand it runs, and shares one help
+    width; what a call prints and returns is as if every subcommand had been
+    declared up front."""
+
+    @pytest.mark.parametrize("command", sorted(_HELP_TEXTS))
+    def test_help_text_is_pinned(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _main_captured([*command, "-h"]) == (0, _HELP_TEXTS[command], "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argvs(), columns=st.sampled_from(["80", "40", "200"]))
+    def test_main_matches_an_eagerly_declared_parser(self, argv, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            bell = Circuit(2, (GateApplication("h", (0,)), GateApplication("cx", (0, 1))))
+            names = {
+                "program": _write_circuit(root, "program", bell, "qasm"),
+                "expected": _write_circuit(root, "expected", Circuit(2), "json"),
+                "state": _write_circuit(root, "state", bell, "state"),
+                "missing": str(root / "missing.qasm"),
+                "config": str(root / "config.json"),
+                "out": str(root / "out"),
+            }
+            (root / "corpus.jsonl").write_text(json.dumps(
+                {"pair_id": "p", "original": "program.qasm", "mutant": "expected.json"}))
+            Path(names["config"]).write_text(json.dumps(
+                {"corpus": str(root / "corpus.jsonl"), "repetitions": 1, "mc_reps": 5}))
+            (root / "out").mkdir()
+            argv = [token.format(**names) for token in argv]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("COLUMNS", columns)
+                lazy = _main_captured(argv)
+                patch.setattr(cli, "build_parser", _eager_parser)
+                eager = _main_captured(argv)
+        assert lazy == eager, argv
+
+    def test_import_loads_no_other_subcommand(self):
+        # a fresh interpreter: `import qut.cli` leaves the bench, mutation and
+        # shot-planning modules unloaded, and every re-export still resolves
+        script = "\n".join([
+            "import sys",
+            "import qut.cli",
+            "loaded = [m for m in ('qut.bench', 'qut.mutation', 'qut.shots') "
+            "if m in sys.modules]",
+            "assert not loaded, loaded",
+            "import qut",
+            "for name in qut.__all__:",
+            "    assert getattr(qut, name).__module__.startswith('qut.'), name",
+            "from qut import *",
+            "assert qut.shots.qcb_exponent is qcb_exponent",
+        ])
+        src = str(Path(qut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qut import gates
 
@@ -137,31 +138,48 @@ def _controlled_loop(base, num_controls=1):
 
 
 def _rotation_reference(kind, theta, phi=0.0):
-    """Reference: the rotation matrices written as nested lists."""
+    """Reference: the rotation matrices written as nested lists, the phases
+    from numpy's scalar `np.exp`."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     if kind == "rx":
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     if kind == "ry":
         return np.array([[c, -s], [s, c]], dtype=complex)
+    if kind == "rz":
+        return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
+    if kind == "p":
+        return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
     return np.array([[c, -1j * s * np.exp(-1j * phi)], [-1j * s * np.exp(1j * phi), c]],
                     dtype=complex)
+
+
+def _assert_rotations_keep_every_bit(theta, phis):
+    # signed zeros included: tobytes compares them, array_equal would not
+    for kind in ("rx", "ry", "rz", "p"):
+        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+            _rotation_reference(kind, theta).tobytes(), kind
+    for phi in phis:
+        assert gates.gate_matrix("r", (theta, phi)).tobytes() == \
+            _rotation_reference("r", theta, phi).tobytes(), phi
+    for kind in ("crx", "cry", "crz", "cp"):
+        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+            _controlled_loop(_rotation_reference(kind[1:], theta)).tobytes(), kind
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0, 0.3, -0.3, math.pi, -2 * math.pi, 7.5, 1e-300,
                                    -1e300])
 def test_rotation_and_controlled_matrices_keep_every_bit(theta):
-    # signed zeros included: tobytes compares them, array_equal would not
-    for kind in ("rx", "ry"):
-        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
-            _rotation_reference(kind, theta).tobytes(), kind
-    for phi in (0.0, -0.0, 1.2, -2.5):
-        assert gates.gate_matrix("r", (theta, phi)).tobytes() == \
-            _rotation_reference("r", theta, phi).tobytes(), phi
-    for kind in ("crx", "cry", "crz", "cp"):
-        base = gates.gate_matrix(kind[1:], (theta,))
-        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
-            _controlled_loop(base).tobytes(), kind
+    _assert_rotations_keep_every_bit(theta, (0.0, -0.0, 1.2, -2.5))
     base = gates.gate_matrix("rx", (theta,))
     assert gates.controlled(base, 2).tobytes() == _controlled_loop(base, 2).tobytes()
     swap = gates.gate_matrix("swap")
     assert gates.controlled(swap, 1).tobytes() == _controlled_loop(swap, 1).tobytes()
+
+
+# every finite angle, with magnitudes from subnormal to the largest float
+_ANGLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(theta=_ANGLES, phi=_ANGLES)
+def test_rotation_matrices_match_the_np_exp_builders_at_any_angle(theta, phi):
+    _assert_rotations_keep_every_bit(theta, (phi,))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from qut import bench
-from qut.circuit import Circuit, GateApplication
+from qut import bench, testing
+from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.simulator import (
     multinomial_counts,
     run_statevector,
@@ -85,6 +86,31 @@ class TestStatistics:
         assert statistical_p_value(counts, probs, "chi2") == 1.0
 
 
+def _recursive_multinomial_p_value(observed, probs):
+    """Oracle: the exact multinomial p-value, one composition at a time in a
+    recursion over the categories."""
+    k = len(probs)
+    shots = int(observed.sum())
+    log_obs = testing._multinomial_logpmf(observed, shots, probs)
+    total = 0.0
+    vec = np.zeros(k, dtype=np.int64)
+
+    def rec(idx, remaining):
+        nonlocal total
+        if idx == k - 1:
+            vec[idx] = remaining
+            lp = testing._multinomial_logpmf(vec, shots, probs)
+            if lp <= log_obs + 1e-9:
+                total += np.exp(lp)
+            return
+        for c in range(remaining + 1):
+            vec[idx] = c
+            rec(idx + 1, remaining - c)
+
+    rec(0, shots)
+    return float(min(total, 1.0))
+
+
 class TestExactMultinomial:
     def test_binomial_oracle(self):
         # two categories: the exact multinomial p-value reduces to summing
@@ -115,6 +141,36 @@ class TestExactMultinomial:
         with pytest.raises(MultinomialIntractableError):
             exact_multinomial_p_value(np.array([10 ** 6, 10 ** 6]),
                                       np.array([0.5, 0.5]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+           shots=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+           chunk=st.sampled_from([1, 5, 64, testing._ENUM_CHUNK]))
+    def test_matches_the_recursive_enumeration(self, probs, shots, seed, chunk):
+        # small chunks put the chunk edges inside the enumeration
+        p = np.array(probs) / sum(probs)
+        observed = np.random.default_rng(seed).multinomial(shots, p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(testing, "_ENUM_CHUNK", chunk)
+            got = exact_multinomial_p_value(observed, p)
+        assert got == pytest.approx(_recursive_multinomial_p_value(observed, p),
+                                    rel=0, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 2), depth=st.integers(1, 4),
+           seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+           base_seed=st.integers(0, 2 ** 64 - 1), cap=st.integers(1, 40))
+    def test_bench_rows_match_the_recursive_enumeration(self, n, depth, seeds,
+                                                        base_seed, cap):
+        pairs = [bench.CorpusPair("p", random_circuit(n, depth, seed=seeds[0]),
+                                  random_circuit(n, depth, seed=seeds[1]))]
+        config = bench.ExperimentConfig(tests=("multinomial",), repetitions=2,
+                                        base_seed=base_seed, shot_cap_absolute=cap)
+        rows = bench.run_benchmark(pairs, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(testing, "exact_multinomial_p_value",
+                          _recursive_multinomial_p_value)
+            assert bench.run_benchmark(pairs, config) == rows
 
 
 class TestStatisticalTest:
