@@ -24,7 +24,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .jsonio import load_circuit
-from .core import fidelity
 from .shots import EquivalentStatesError, estimate_shots
 from .simulator import run_statevector, sample_from_probs
 from .testing import (
@@ -276,9 +275,10 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
 
 def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]:
     """Rows of every configured test for one pair.  The original and the
-    mutant are simulated once each; sigma_11 is their fidelity, the shot
-    estimate's input and the swap and inverse laws' F.  A pair that passes
-    `statevector_verdict`, or has no shot plan, gets one error row per test.
+    mutant are simulated once each; sigma_11 is the fidelity their
+    `statevector_verdict` carries, the shot estimate's input and the swap
+    and inverse laws' F.  A pair that passes `statevector_verdict`, or has
+    no shot plan, gets one error row per test.
     The sampled rows of each repetition are dense-ranked together by their
     first detecting shot; error rows carry no rank."""
     rows: list[ExperimentRow] = []
@@ -290,8 +290,7 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
     try:
         if verdict.passed:
             raise EquivalentStatesError("states pass the statevector test")
-        estimate = estimate_shots(fidelity(mutant_state, original_state),
-                                  config.p_e)
+        estimate = estimate_shots(verdict.fidelity, config.p_e)
     except EquivalentStatesError:
         return [ExperimentRow(pair.pair_id, t, 0, 0, "error", 0, 0)
                 for t in config.tests]

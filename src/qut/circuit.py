@@ -23,8 +23,12 @@ class GateApplication:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __init__(self, kind: str, targets, params=(), matrix=None):
-        # the one gate check, written as __init__ rather than __post_init__
-        # so that each field is set once
+        # the one gate check: the kind, then the targets, then the arity and
+        # parameters or the custom matrix.  Written as __init__ rather than
+        # __post_init__ so that each field is set once.
+        spec = gates.CATALOG.get(kind)
+        if spec is None and kind != gates.CUSTOM:
+            raise ValueError(f"unknown gate kind '{kind}'")
         targets = tuple(map(int, targets))
         params = tuple(map(float, params))
         object.__setattr__(self, "kind", kind)
@@ -35,7 +39,6 @@ class GateApplication:
         if targets and min(targets) < 0:
             raise IndexError(f"gate {kind} targets {targets}: a "
                              "negative qubit index is out of range")
-        spec = gates.CATALOG.get(kind)
         if spec is not None:
             object.__setattr__(self, "matrix", matrix)
             if len(targets) != spec.arity:
@@ -45,8 +48,6 @@ class GateApplication:
             if len(params) != spec.num_params:
                 raise ValueError(f"gate '{kind}' takes {spec.num_params} parameter(s)")
             return
-        if kind != gates.CUSTOM:
-            raise ValueError(f"unknown gate kind '{kind}'")
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (1 << len(targets), 1 << len(targets)):
             raise ValueError("custom matrix shape does not match target count")

@@ -107,10 +107,10 @@ def _cmd_estimate_shots(args) -> int:
     program = _load_circuit(args.program, warnings)
     expected = _load_circuit(args.expected, warnings, states=True)
     try:
-        est = estimate_shots_for_pair(Circuit(program.num_qubits), program,
-                                      expected, p_e=args.pe)
+        est = estimate_shots_for_pair(expected, program, p_e=args.pe)
+        # every estimate is the pure-state closed form
         detail = {"shots": est.shots, "sigma11": est.sigma11,
-                  "p_e": est.p_e, "method": est.method}
+                  "p_e": est.p_e, "method": "closed_form"}
     except EquivalentStatesError as exc:
         detail = {"equivalent": True, "message": str(exc)}
     print(json.dumps(detail | ({"warnings": warnings} if warnings else {})))

@@ -129,8 +129,6 @@ def fractional_power(dm: DensityMatrix, p: float) -> np.ndarray:
 def global_phase_aligned(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Rotate `actual` so its largest-magnitude amplitude matches `expected`'s phase."""
     idx = int(np.argmax(np.abs(actual)))
-    if abs(actual[idx]) == 0.0:
-        return actual
     phase = np.angle(expected[idx]) - np.angle(actual[idx])
     return actual * np.exp(1j * phase)
 

@@ -172,8 +172,14 @@ def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     return spec.matrix_fn(*params)
 
 
+def unitarity_defect(m: np.ndarray) -> float:
+    """max |U^dagger U - I| over the entries of a square matrix."""
+    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+
+
 def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
+    """True iff `matrix` is square with `unitarity_defect` at most `atol`."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol))
+    return unitarity_defect(m) <= atol

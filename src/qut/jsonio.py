@@ -38,10 +38,6 @@ def nearest_unitary(matrix: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _unitarity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
-
 def _matrix_from_json(raw, num_targets: int) -> np.ndarray:
     dim = 1 << num_targets
     if not isinstance(raw, list):
@@ -50,7 +46,7 @@ def _matrix_from_json(raw, num_targets: int) -> np.ndarray:
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise CircuitJsonError(f"matrix is not {dim} x {dim} for {num_targets} target(s)")
     m = np.array(rows)
-    defect = _unitarity_defect(m)
+    defect = gates.unitarity_defect(m)
     if defect > REUNITARIZE_MAX_DEFECT:
         raise CircuitJsonError(
             f"matrix unitarity defect {defect:.3g} exceeds {REUNITARIZE_MAX_DEFECT}"
@@ -117,8 +113,6 @@ def circuit_from_dict(data: dict) -> Circuit:
             if "matrix" not in entry:
                 raise CircuitJsonError("custom gate requires a 'matrix'")
             matrix = _matrix_from_json(entry["matrix"], len(targets))
-        elif kind not in gates.CATALOG:
-            raise CircuitJsonError(f"unknown gate kind '{kind}'")
         try:
             built.append(GateApplication(kind, tuple(targets), tuple(params), matrix))
         except (ValueError, IndexError) as exc:
@@ -164,8 +158,7 @@ def load_circuit(path: str | Path, diagnostics: list[ParseDiagnostic] | None = N
     """The circuit in a file: JSON for a `.json` suffix, QASM otherwise, with
     QASM warnings appended to `diagnostics`.  With `states`, a JSON object
     {"amplitudes": ...} loads as a StateVector.  Bytes that are not UTF-8
-    read as U+FFFD, as in `parse_qasm`.  Raises OSError, QasmError or
-    CircuitJsonError."""
+    read as U+FFFD.  Raises OSError, QasmError or CircuitJsonError."""
     path = Path(path)
     text = path.read_bytes().decode("utf-8", errors="replace")
     if path.suffix != ".json":

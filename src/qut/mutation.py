@@ -11,7 +11,6 @@ import numpy as np
 
 from . import gates
 from .circuit import Circuit, GateApplication
-from .core import fidelity
 from .simulator import run_statevector
 from .testing import statevector_verdict
 
@@ -76,7 +75,10 @@ def mutate_qgi(c: Circuit) -> list[MutantRecord]:
 
 
 def mutate_rgi(c: Circuit, seed: int, count: int = 1) -> list[MutantRecord]:
-    """Insert r(pi/180, pi/180) at seeded random (gate boundary, qubit) sites."""
+    """Insert r(pi/180, pi/180) at `count` seeded random (gate boundary,
+    qubit) sites; a negative count raises ValueError."""
+    if count < 0:
+        raise ValueError(f"rgi count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -95,15 +97,13 @@ def filter_equivalent(
     original: Circuit, mutants: Iterable[MutantRecord]
 ) -> list[MutantRecord]:
     """Drop mutants that pass `statevector_verdict` against the original;
-    annotate survivors with their fidelity to the original."""
+    annotate survivors with the fidelity that verdict carries."""
     original_state = run_statevector(original)
     survivors = []
     for rec in mutants:
-        state = run_statevector(rec.circuit)
-        if statevector_verdict(state, original_state).passed:
-            continue
-        f = fidelity(state, original_state)
-        survivors.append(replace(rec, fidelity_to_original=f))
+        same = statevector_verdict(run_statevector(rec.circuit), original_state)
+        if not same.passed:
+            survivors.append(replace(rec, fidelity_to_original=same.fidelity))
     return survivors
 
 

@@ -238,11 +238,6 @@ def parse_qasm(
     """
     if diagnostics is None:
         diagnostics = []
-    if not isinstance(source, str):
-        try:
-            source = bytes(source).decode("utf-8", errors="replace")
-        except (TypeError, ValueError) as exc:
-            raise QasmError(ParseDiagnostic(1, 1, f"undecodable input: {exc}"))
 
     # one "\n" per line break that str.splitlines counts, so that a line is
     # the count of "\n" before a statement

@@ -6,7 +6,8 @@ produced by noise-free simulation this collapses to -ln sigma_11, giving the
 closed-form shot estimate max(ceil(ln P_e / ln sigma_11), 1).  For pure
 states sigma_11, the weight of |0...0> in the reversed state Z U |0...0>,
 equals the overlap |<psi_E|psi_A>|^2 of the expected and actual states, so
-it is computed as `core.fidelity` of the two n-qubit states.
+it is the fidelity of the two n-qubit states, read from their "same state?"
+verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .circuit import Circuit
-from .core import DensityMatrix, DimensionMismatchError, fidelity, fractional_power
+from .core import DensityMatrix, DimensionMismatchError, fractional_power
 from .simulator import run_statevector
 from .testing import ExpectedSpec, expected_state, statevector_verdict
 
@@ -38,7 +39,6 @@ class ShotEstimate:
     shots: int
     sigma11: float
     p_e: float
-    method: str  # "closed_form": every estimate uses the pure-state closed form
 
     def __post_init__(self):
         if self.shots < 1:
@@ -106,29 +106,25 @@ def estimate_shots(fidelity_to_zero: float, p_e: float) -> ShotEstimate:
         raise EquivalentStatesError("sigma_11 is within 1e-15 of 1, so ln sigma_11 "
                                     "has no significant digits; no shot plan")
     if fidelity_to_zero == 0.0:
-        return ShotEstimate(1, 0.0, p_e, "closed_form")
+        return ShotEstimate(1, 0.0, p_e)
     shots = max(math.ceil(math.log(p_e) / math.log(fidelity_to_zero)), 1)
-    return ShotEstimate(shots, fidelity_to_zero, p_e, "closed_form")
+    return ShotEstimate(shots, fidelity_to_zero, p_e)
 
 
 def estimate_shots_for_pair(
-    original: Circuit,
-    mutant: Circuit,
-    expected: ExpectedSpec | None = None,
-    p_e: float = 0.05,
+    expected: ExpectedSpec, mutant: Circuit, p_e: float = 0.05
 ) -> ShotEstimate:
-    """Shot estimate for detecting `mutant` against the expected state.
+    """Shot estimate for detecting `mutant` against the expected state, given
+    as a preparation circuit (such as the original program) or as the state.
 
     sigma_11 is |<0...0| Z U |0...0>|^2, where U is the mutant and Z inverts
-    a preparation of the expected state (the original circuit's output by
-    default).  For pure states that is the overlap |<psi_E|U|0...0>|^2, so
-    it is computed as the fidelity of the two n-qubit states.
+    a preparation of the expected state.  For pure states that is the
+    overlap |<psi_E|U|0...0>|^2, the fidelity of the two n-qubit states.
     """
-    psi_e = expected_state(original if expected is None else expected)
-    psi_a = run_statevector(mutant)
-    if statevector_verdict(psi_a, psi_e).passed:
+    same = statevector_verdict(run_statevector(mutant), expected_state(expected))
+    if same.passed:
         raise EquivalentStatesError("states pass the statevector test; no shot plan")
-    return estimate_shots(fidelity(psi_a, psi_e), p_e)
+    return estimate_shots(same.fidelity, p_e)
 
 
 def shot_curve(
@@ -142,9 +138,3 @@ def shot_curve(
                 raise ValueError("sigma11 range must lie in (0, 1)")
             rows.append((float(s11), float(p_e), estimate_shots(s11, p_e).shots))
     return rows
-
-
-def shot_curve_csv(rows: list[tuple[float, float, int]]) -> str:
-    lines = ["sigma11,p_e,shots"]
-    lines += [f"{s11!r},{pe!r},{n}" for s11, pe, n in rows]
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ and `circuit.build_inverse_harness`.
 
 `statevector_verdict(actual, expected).passed` at its defaults is the one
 "same state?" predicate: the mutant filter, the shot planner, the bench and
-the swap and inverse verdicts all ask it.
+the swap and inverse verdicts all ask it, and read the pair's fidelity from
+the same verdict.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class TestVerdict:
     first_failure_shot: int | None = None
     max_amplitude_deviation: float | None = None
     warnings: tuple[str, ...] = ()
-    # swap and inverse only: F, and the per-shot failure probability drawn
-    # from (0.0 when the states pass the "same state?" predicate)
+    # F = |<psi_E|psi_A>|^2 (statevector, swap and inverse), and the swap and
+    # inverse per-shot failure probability drawn from (0.0 when the states
+    # pass the "same state?" predicate)
     fidelity: float | None = None
     failure_probability: float | None = None
 
@@ -95,20 +97,27 @@ def _multinomial_logpmf(x: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
     """p = sum of probabilities of count vectors no more likely than observed.
 
-    Enumerates every composition of S into k categories; guarded by
-    MULTINOMIAL_ENUM_LIMIT.  A composition is k - 1 bar positions among
-    S + k - 1 slots (stars and bars); `itertools.combinations` lists them in
-    the lexicographic order of the counts, and about `_ENUM_CHUNK` counts go
-    through one `_multinomial_logpmf` call at a time, so memory stays bounded
-    at the limit.  The probabilities are added one at a time in that order.
+    Enumerates every composition of S into k categories.  A composition is
+    k - 1 bar positions among S + k - 1 slots (stars and bars);
+    `itertools.combinations` lists them in the lexicographic order of the
+    counts, and about `_ENUM_CHUNK` counts go through one
+    `_multinomial_logpmf` call at a time, so memory stays bounded.  The
+    probabilities are added one at a time in that order.  The work is about
+    vectors x k counts, so the guard bounds vectors x max(k, 16) by
+    16 x MULTINOMIAL_ENUM_LIMIT: up to k = 16 (a 4-qubit register) that is
+    MULTINOMIAL_ENUM_LIMIT vectors, and past it the same number of counts.
+    With at least one shot and two outcomes there are at least S + k - 1
+    vectors, so a refusal that this settles computes no binomial coefficient,
+    which alone takes about 33 s (2 vCPU) for 10^6 shots over 2^20 outcomes.
     """
     k = len(probs)
     shots = int(observed.sum())
-    vectors = comb(shots + k - 1, k - 1)
-    if vectors > MULTINOMIAL_ENUM_LIMIT:
+    limit = 16 * MULTINOMIAL_ENUM_LIMIT // max(k, 16)
+    if ((shots >= 1 and k >= 2 and shots + k - 1 > limit)
+            or (vectors := comb(shots + k - 1, k - 1)) > limit):
         raise MultinomialIntractableError(
-            f"{vectors} count vectors exceed enumeration "
-            f"limit {MULTINOMIAL_ENUM_LIMIT}; use the Monte Carlo variant"
+            f"count vectors of {shots} shots over {k} outcomes exceed enumeration "
+            f"limit {limit}; use the Monte Carlo variant"
         )
     log_obs = _multinomial_logpmf(observed, shots, probs)
     bars = combinations(range(shots + k - 1), k - 1)
@@ -245,9 +254,9 @@ def _law_verdict(
     test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
     _check_draw(shots, seed)
-    actual, target = run_statevector(compose(w, u)), expected_state(expected)
-    f = fidelity(actual, target)
-    if statevector_verdict(actual, target).passed:
+    same = statevector_verdict(run_statevector(compose(w, u)), expected_state(expected))
+    f = same.fidelity
+    if same.passed:
         return TestVerdict("pass", fidelity=f, failure_probability=0.0)
     first = first_failure_under_law(test, f, shots, seed)
     return TestVerdict("pass" if first is None else "fail", first_failure_shot=first,
@@ -268,7 +277,8 @@ def statevector_verdict(
     mode: str = "global_phase",
 ) -> TestVerdict:
     """Pass iff the largest element-wise |actual - expected| is at most
-    `tolerance`.
+    `tolerance`.  The verdict also carries F = `fidelity(actual, expected)`,
+    the pair's one fidelity, which every caller reads from it.
 
     In global_phase mode (the default) the actual state is first rotated so
     its largest-magnitude amplitude agrees in phase with the expected one;
@@ -286,7 +296,8 @@ def statevector_verdict(
         amps = global_phase_aligned(amps, expected.amplitudes)
     deviation = float(np.abs(amps - expected.amplitudes).max())
     return TestVerdict("pass" if deviation <= tolerance else "fail",
-                       max_amplitude_deviation=deviation)
+                       max_amplitude_deviation=deviation,
+                       fidelity=fidelity(actual, expected))
 
 
 def statevector_test(

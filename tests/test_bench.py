@@ -406,6 +406,25 @@ class TestRunBenchmark:
         rows = bench.run_benchmark(bench.load_corpus(manifest), cfg)
         assert rows and all(r.verdict == "error" for r in rows)
 
+    def test_intractable_multinomial_prefix_is_an_error_row(self):
+        # a 6-qubit uniform state against the same distribution with a
+        # phase: no multinomial prefix detects it at p_t = 1e-6, and the
+        # fourth shot's 766,480 vectors of 64 outcomes exceed the guard
+        original = Circuit(6, tuple(GateApplication("h", (q,)) for q in range(6)))
+        mutant = original.appended(GateApplication("rz", (0,), (0.3,)))
+        config = bench.ExperimentConfig(tests=("multinomial", "swap"),
+                                        repetitions=2, p_t=1e-6)
+        rows = bench.run_benchmark([bench.CorpusPair("p", original, mutant)], config)
+        estimate = math.ceil(math.log(0.05) / math.log(math.cos(0.15) ** 2))
+        assert [(r.test, r.repetition, r.verdict, r.shots_used, r.rank)
+                for r in rows if r.test == "multinomial"] == [
+            ("multinomial", rep, "error", 0, None) for rep in range(2)]
+        assert {r.shot_estimate for r in rows} == {estimate}
+        # the swap row of each repetition is ranked without the error row
+        assert [(r.verdict, r.rank) for r in rows if r.test == "swap"] == [("fail", 1)] * 2
+        assert [r.seed for r in rows if r.test == "multinomial"] == [
+            bench.mix_seed(0, "p", "multinomial", rep) for rep in range(2)]
+
     def test_pairs_passing_the_statevector_test_are_errors(self):
         # one error row per test, whatever sigma_11 rounds to: h against
         # h; z; z, and a circuit whose overlap with itself is 1 - 1.1e-15

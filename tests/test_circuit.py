@@ -43,6 +43,18 @@ class TestGateApplication:
             GateApplication("unitary", (0,),
                             matrix=np.array([[1, 0], [0, 0.5]], dtype=complex))
 
+    def test_unknown_kind_is_checked_before_the_targets(self):
+        for targets in ((1, 1), (-1,), ()):
+            with pytest.raises(ValueError, match="unknown gate kind 'bogus'"):
+                GateApplication("bogus", targets)
+
+    def test_custom_matrix_past_the_unitarity_bound_is_refused(self):
+        # it used to pass the check and then fail run_statevector's norm
+        # check: "state norm 1.0000005 deviates from 1 beyond 1e-10"
+        m = np.diag([1 + 1e-6, 1]).astype(complex)
+        with pytest.raises(ValueError, match="not unitary within 1e-10"):
+            GateApplication("unitary", (0,), matrix=m)
+
     def test_inverse_of_rx_negates(self):
         g = GateApplication("rx", (0,), (0.4,))
         assert g.inverse().params == (-0.4,)
@@ -84,6 +96,18 @@ class TestInversion:
         inv = invert_circuit(c)
         assert [g.kind for g in inv.gates] == ["cx", "rx"]
         assert inv.gates[1].params == (-0.3,)
+
+    def test_custom_gate_becomes_its_adjoint(self):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        c = Circuit(3, (GateApplication("h", (0,)),
+                        GateApplication("unitary", (2, 0), matrix=q)))
+        inv = invert_circuit(c)
+        assert [(g.kind, g.targets) for g in inv.gates] == [("unitary", (2, 0)),
+                                                            ("h", (0,))]
+        assert np.array_equal(inv.gates[0].matrix, q.conj().T)
+        state = run_statevector(compose(c, inv))
+        assert fidelity(state, StateVector.zero(3)) >= 1.0 - 1e-12
 
     def test_round_trip_identity_on_random_circuits(self):
         # c followed by invert(c) returns |0...0> for a large random family

@@ -189,6 +189,19 @@ class TestExitCodes:
         assert json.loads(captured.out) == {"outcome": "pass", "p_value": 1.0}
         assert captured.err == ""
 
+    def test_multinomial_past_the_work_bound_is_two(self, tmp_path, capsys):
+        # one shot on 13 qubits: 8,192 vectors of 8,192 counts each, refused
+        # before any enumeration (it ran for seconds; 19 qubits for hours)
+        uniform = tmp_path / "uniform.qasm"
+        uniform.write_text(emit_qasm(Circuit(13, tuple(GateApplication("h", (q,))
+                                                       for q in range(13)))))
+        assert run_cli("run", "--program", str(uniform), "--expected", str(uniform),
+                       "--test", "multinomial", "--shots", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: count vectors of 1 shots over 8192 outcomes "
+                                "exceed enumeration limit 1953; use the Monte Carlo variant\n")
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_negative_or_nan_tolerance_is_two(self, tmp_path, capsys,
                                               tolerance):
@@ -273,6 +286,50 @@ class TestSubcommands:
             assert entry["operator"] in ("QGD", "RGI")
             assert (out / entry["path"]).exists()
             assert entry["fidelity"] < 1 - 1e-10
+
+    def test_negative_rgi_count_is_two(self, files, tmp_path, capsys):
+        # it wrote an empty manifest and exited 0
+        out = tmp_path / "mutants"
+        assert run_cli("mutate", "--circuit", files["bell"], "--operators", "rgi",
+                       "--rgi-count", "-3", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rgi count must be >= 0, got -3\n"
+        assert not out.exists()
+        assert run_cli("mutate", "--circuit", files["bell"], "--operators", "rgi",
+                       "--rgi-count", "0", "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote 0 mutants to {out}\n"
+
+    def test_mutate_leaves_a_custom_gate_without_peers(self, tmp_path, capsys):
+        # a unitary gate belongs to no equivalence class: QGR and QGI make
+        # nothing at its site, QGD deletes it, and it keeps its matrix
+        x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"num_qubits": 2, "name": "c", "gates": [
+            {"kind": "h", "targets": [0], "params": []},
+            {"kind": "unitary", "targets": [1], "params": [], "matrix": x}]}))
+        out = tmp_path / "mutants"
+        assert run_cli("mutate", "--circuit", str(path), "--operators",
+                       "qgr,qgd,qgi", "--out", str(out)) == 0
+        entries = [json.loads(line) for line in
+                   (out / "manifest.jsonl").read_text().splitlines()]
+        sites = {(e["operator"], e["site"]) for e in entries}
+        assert sites == {("QGR", 0), ("QGD", 0), ("QGD", 1), ("QGI", 1)}
+        assert sum(e["operator"] == "QGR" for e in entries) == 8
+        for e in entries:
+            body = json.loads((out / e["path"]).read_text())["gates"]
+            custom = [g for g in body if g["kind"] == "unitary"]
+            assert custom == ([] if (e["operator"], e["site"]) == ("QGD", 1) else
+                              [{"kind": "unitary", "targets": [1], "params": [],
+                                "matrix": x}])
+
+    def test_bench_with_a_missing_config_is_three(self, tmp_path, capsys):
+        config, out_csv = tmp_path / "absent.json", tmp_path / "rows.csv"
+        assert run_cli("bench", "--config", str(config), "--out", str(out_csv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {config}: ")
+        assert not out_csv.exists()
 
     def test_bench_end_to_end(self, files, tmp_path, capsys):
         manifest = tmp_path / "corpus.jsonl"
@@ -448,6 +505,40 @@ class TestVerdictEvidence:
             assert out["fidelity"] == pytest.approx(1.0)
             assert out["failure_probability"] == 0.0
             assert "first_failure_shot" not in out
+
+    def test_statevector_reports_fidelity(self, files, capsys):
+        assert run_cli("run", "--program", files["broken"], "--expected",
+                       files["bell"], "--test", "statevector") == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["fidelity"] == pytest.approx(0.25)
+        assert run_cli("run", "--program", files["bell"], "--expected",
+                       files["bell"], "--test", "statevector") == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(1.0)
+
+    # Each family's `qut run` JSON keys on a pass and on a fail (|+0> against
+    # the Bell state).  A key added to a family's output is added here.
+    RUN_KEYS = {
+        **{test: ({"outcome", "p_value"},) * 2 for test in
+           ("chi2", "g", "multinomial", "mc-chi2", "mc-g", "mc-multinomial")},
+        **{test: ({"outcome", "fidelity", "failure_probability"},
+                  {"outcome", "fidelity", "failure_probability", "first_failure_shot"})
+           for test in ("swap", "inverse")},
+        "statevector": ({"outcome", "max_amplitude_deviation", "fidelity"},) * 2,
+    }
+
+    @pytest.mark.parametrize("test", sorted(_TEST_NAMES))
+    def test_each_family_writes_its_pinned_keys(self, files, tmp_path, capsys, test):
+        assert set(self.RUN_KEYS) == set(_TEST_NAMES)
+        measured = tmp_path / "measured.qasm"
+        measured.write_text(open(files["broken"]).read()
+                            + "creg c[2];\nmeasure q[0] -> c[0];\n")
+        passing, failing = self.RUN_KEYS[test]
+        for program, code, keys in ((files["bell"], 0, passing),
+                                    (files["broken"], 1, failing),
+                                    (str(measured), 1, failing | {"warnings"})):
+            assert run_cli("run", "--program", program, "--expected", files["bell"],
+                           "--test", test, "--shots", "100", "--mc-reps", "100") == code
+            assert set(json.loads(capsys.readouterr().out)) == keys, program
 
     def test_only_asymptotic_p_values_warn_of_few_observations(self, tmp_path,
                                                                capsys):

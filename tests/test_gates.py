@@ -103,6 +103,17 @@ def test_is_unitary_rejects_defect():
     assert not gates.is_unitary(np.array([[1, 0], [0, 0.999]], dtype=complex))
 
 
+def test_is_unitary_compares_the_defect_with_atol_alone():
+    # diag(1 + 1e-6, 1) has defect (1 + 1e-6)^2 - 1; np.allclose's default
+    # rtol of 1e-5 used to accept it on the diagonal
+    m = np.diag([1 + 1e-6, 1]).astype(complex)
+    assert gates.unitarity_defect(m) == pytest.approx(2e-6 + 1e-12, rel=1e-9)
+    assert not gates.is_unitary(m)
+    assert gates.is_unitary(m, atol=3e-6)
+    within = np.diag([1 + 4e-11, 1]).astype(complex)
+    assert gates.is_unitary(within) and not gates.is_unitary(within, atol=7e-11)
+
+
 def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
     # `circuit.evolve` exchanges amplitudes in place for the kinds in
     # EXCHANGES, so a kind there must be a fixed 0/1 permutation, and every

@@ -52,6 +52,23 @@ def test_large_defect_rejected():
         parse_json(json.dumps(doc))
 
 
+def test_unitarity_defect_past_the_bound_is_projected():
+    # defect 2e-6: past GateApplication's 1e-10, within the 1e-3 projection
+    doc = {"num_qubits": 1,
+           "gates": [{"kind": "unitary", "targets": [0],
+                      "matrix": [[[1 + 1e-6, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+    c = parse_json(json.dumps(doc))
+    assert np.abs(c.gates[0].matrix - np.eye(2)).max() < 1e-6
+    assert run_statevector(c).amplitudes[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("targets", [[0], [0, 0], [-1], [5]])
+def test_unknown_kind_message_whatever_the_targets(targets):
+    doc = {"num_qubits": 1, "gates": [{"kind": "bogus", "targets": targets}]}
+    with pytest.raises(CircuitJsonError, match="^unknown gate kind 'bogus'$"):
+        parse_json(json.dumps(doc))
+
+
 def test_schema_violations():
     with pytest.raises(CircuitJsonError):
         parse_json(json.dumps({"gates": []}))

@@ -9,7 +9,7 @@ from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.core import StateVector, fidelity, random_statevector
 from qut.simulator import run_statevector
 from qut.synth import synthesize_state_prep
-from qut.testing import inverse_test, statevector_test, swap_test
+from qut.testing import inverse_test, statevector_test, statevector_verdict, swap_test
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 X_CIRCUIT = Circuit(1, (GateApplication("x", (0,)),))
@@ -105,6 +105,18 @@ class TestStatevectorTest:
     def test_qubit_guard(self):
         with pytest.raises(ValueError):
             statevector_test(Circuit(30), Circuit(30), Circuit(30))
+
+    def test_verdict_carries_the_pairs_fidelity(self):
+        # bit for bit the value the mutant filter, the shot planner, the
+        # bench and the swap and inverse verdicts read from it
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            a, b = random_statevector(n, rng), random_statevector(n, rng)
+            for actual, expected in ((a, b), (b, a), (a, a)):
+                for mode in ("global_phase", "strict"):
+                    v = statevector_verdict(actual, expected, mode=mode)
+                    assert v.fidelity == fidelity(actual, expected)
+        assert statevector_test(EMPTY_1Q, X_CIRCUIT, EMPTY_1Q).fidelity == 0.0
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

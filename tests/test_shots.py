@@ -19,7 +19,6 @@ from qut.shots import (
     qcb_exponent,
     qcb_trace_minimum,
     shot_curve,
-    shot_curve_csv,
 )
 from qut.simulator import run_statevector
 
@@ -70,7 +69,7 @@ class TestEstimateShots:
     def test_half_overlap_is_five(self):
         # ceil(ln 0.05 / ln 0.5) = ceil(4.3219) = 5
         est = estimate_shots(0.5, 0.05)
-        assert est.shots == 5 and est.method == "closed_form"
+        assert (est.shots, est.sigma11, est.p_e) == (5, 0.5, 0.05)
 
     def test_orthogonal_single_shot(self):
         for p_e in (0.001, 0.05, 0.5):
@@ -161,7 +160,7 @@ class TestEstimateForPair:
             n = 1 + seed % 3
             expected = random_statevector(n, rng)
             mutant = random_circuit(n, 3, seed=seed)
-            est = estimate_shots_for_pair(Circuit(n), mutant, expected)
+            est = estimate_shots_for_pair(expected, mutant)
             assert est.sigma11 == fidelity(run_statevector(mutant), expected)
 
 
@@ -182,12 +181,6 @@ class TestShotCurve:
             assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert all(a >= b >= c for a, b, c in
                    zip(by_pe[0.001], by_pe[0.01], by_pe[0.05]))
-
-    def test_csv_shape(self):
-        text = shot_curve_csv(shot_curve([0.5], [0.05]))
-        lines = text.strip().splitlines()
-        assert lines[0] == "sigma11,p_e,shots"
-        assert lines[1] == "0.5,0.05,5"
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,52 @@ class TestExactMultinomial:
             exact_multinomial_p_value(np.array([10 ** 6, 10 ** 6]),
                                       np.array([0.5, 0.5]))
 
+    def test_guard_bounds_vectors_times_outcomes(self, monkeypatch):
+        # up to 16 outcomes the guard allows MULTINOMIAL_ENUM_LIMIT vectors,
+        # as it always did; past 16 it allows 16 x that many counts.  The
+        # enumeration itself is replaced, so only the guard runs
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_nothing(*args):
+            raise Enumerated
+
+        monkeypatch.setattr(testing, "combinations", enumerate_nothing)
+
+        def allowed(k, shots):
+            observed = np.zeros(k, dtype=np.int64)
+            observed[0] = shots
+            try:
+                exact_multinomial_p_value(observed, np.full(k, 1.0 / k))
+            except Enumerated:
+                return True
+            except MultinomialIntractableError:
+                return False
+            raise AssertionError("neither enumerated nor refused")
+
+        limit = testing.MULTINOMIAL_ENUM_LIMIT
+        for k in range(2, 17):
+            lo, hi = 0, limit  # the most shots with at most `limit` vectors
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if math.comb(mid + k - 1, k - 1) <= limit else (lo, mid - 1)
+            assert allowed(k, lo) and not allowed(k, lo + 1), k
+        # 32 outcomes: comb(S + 31, 31) x 32 <= 16e6 up to 376,992 vectors
+        assert allowed(32, 5) and not allowed(32, 6)
+        # one shot on 10, 12 and 13 qubits: K^2 counts
+        assert allowed(1 << 10, 1)
+        assert not allowed(1 << 12, 1) and not allowed(1 << 13, 1)
+        # one vector, however many shots or outcomes
+        assert allowed(1, 2 * limit) and allowed(5000, 0)
+
+        # a refusal with S + k - 1 past the bound computes no binomial
+        # coefficient: comb(10^6 + 2^20 - 1, 2^20 - 1) alone takes about 33 s
+        def no_comb(*args):
+            raise AssertionError("computed a binomial coefficient")
+
+        monkeypatch.setattr(testing, "comb", no_comb)
+        assert not allowed(1 << 20, 10 ** 6) and not allowed(2, limit + 1)
+
     @settings(max_examples=150, deadline=None)
     @given(probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
            shots=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
