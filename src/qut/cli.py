@@ -120,6 +120,8 @@ def _cmd_estimate_shots(args) -> int:
 def _cmd_mutate(args) -> int:
     from . import mutation
 
+    if not 0.0 < args.fraction <= 1.0:  # nan too: checked before any work
+        raise ValueError("fraction must lie in (0, 1]")
     circuit = _load_circuit(args.circuit)
     operators = [op.strip().lower() for op in args.operators.split(",") if op.strip()]
     unknown = set(operators) - {"qgr", "qgd", "qgi", "rgi"}

@@ -102,11 +102,12 @@ def circuit_from_dict(data: dict) -> Circuit:
         raise CircuitJsonError(f"'num_qubits' must be an integer, got {num_qubits!r}")
     name = str(data.get("name", ""))
     built = []
+    reused = {}  # parameterless catalog gates, by (kind, targets), as in parse_qasm
     for entry in _list_of(data, "gates", lambda g: isinstance(g, dict), "objects"):
         kind = entry.get("kind")
         if not isinstance(kind, str):
             raise CircuitJsonError("each gate must be an object with a string 'kind'")
-        targets = _list_of(entry, "targets", _is_int, "integers")
+        targets = tuple(_list_of(entry, "targets", _is_int, "integers"))
         params = _list_of(entry, "params", _is_real, "real numbers")
         matrix = None
         if kind == gates.CUSTOM:
@@ -114,9 +115,13 @@ def circuit_from_dict(data: dict) -> Circuit:
                 raise CircuitJsonError("custom gate requires a 'matrix'")
             matrix = _matrix_from_json(entry["matrix"], len(targets))
         try:
-            built.append(GateApplication(kind, tuple(targets), tuple(params), matrix))
+            if params or matrix is not None:
+                gate = GateApplication(kind, targets, tuple(params), matrix)
+            elif (gate := reused.get((kind, targets))) is None:
+                gate = reused[kind, targets] = GateApplication(kind, targets)
         except (ValueError, IndexError) as exc:
             raise CircuitJsonError(str(exc))
+        built.append(gate)
     try:
         return Circuit(num_qubits, tuple(built), name)
     except (ValueError, IndexError) as exc:

@@ -8,8 +8,9 @@ measurement-free circuits.
 
 The parser reads one statement at a time and checks syntax and register
 bounds; `GateApplication` is the one check of a gate's arity, parameters and
-targets.  Every error is a `QasmError` with a line and a column, which the
-CLI maps to exit 3.
+targets.  A parameterless gate is built once per (kind, targets) in a parse,
+and each later such statement reuses that immutable object.  Every error is
+a `QasmError` with a line and a column, which the CLI maps to exit 3.
 """
 
 from __future__ import annotations
@@ -52,19 +53,19 @@ _TOKEN = rf"{_NAME}|{_UNSIGNED}|->|[()\[\],;+\-*/]"
 # these patterns are compiled on first use, through re's cache.
 _TOKENS = rf"\s*({_TOKEN}|\S.*)"
 
-# An argument whose index has few enough digits for int() to read without
+# An argument's index, with few enough digits for int() to read without
 # reaching its digit limit.
-_PLAIN_ARGUMENT = rf"\s*({_NAME})\s*\[\s*(\d{{1,9}})\s*\]\s*"
+_INDEX = r"\s*\[\s*(\d{1,9})\s*\]\s*"
 
 # A statement's head; its parameter text, when that holds no parentheses,
 # either as one signed numeric literal, which float() reads exactly as the
 # evaluator would, or as any other text; and the rest: one to three plain
-# arguments, as name and index pairs, when that is all it holds, else as
-# text, which may also be a parameter list with nested parentheses.  It
-# takes nearly 1 ms to compile, so `parse_qasm` compiles it on first use,
-# through re's cache, and importing qut does not pay for it.
-_STATEMENT = (rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?"
-              rf"(?:{_PLAIN_ARGUMENT}(?:,{_PLAIN_ARGUMENT}(?:,{_PLAIN_ARGUMENT})?)?\Z|(.*))")
+# arguments of one register, as its name and their indices, when that is all
+# it holds, else as text, which may also be a parameter list with nested
+# parentheses.  It takes nearly 1 ms to compile, so `parse_qasm` compiles it
+# on first use, through re's cache, and importing qut does not pay for it.
+_STATEMENT = (rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?(?:\s*(?P<reg>{_NAME})"
+              rf"{_INDEX}(?:,\s*(?P=reg){_INDEX}(?:,\s*(?P=reg){_INDEX})?)?\Z|(.*))")
 _ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
 
 
@@ -185,15 +186,21 @@ def _argument(text: str) -> tuple[str, int, int]:
     raise _StatementError("expected argument of the form name[index]")
 
 
-def _arguments(text: str):
-    """The register name and index of each ','-separated argument of `text`,
-    read one at a time: the caller checks an argument's name and index
-    before anything after them in that argument, or in the next, is read."""
+def _targets(text: str, qreg_name: str, num_qubits: int) -> tuple[int, ...]:
+    """The qubit indices of the ','-separated arguments `text`, read one at a
+    time: an argument's register and index are checked before anything
+    after them in that argument, or in the next, is read."""
+    targets = []
     for arg in text.split(","):
         name, index, end = _argument(arg)
-        yield name, index
+        if name != qreg_name:
+            raise _StatementError(f"unknown register '{name}'")
+        if index >= num_qubits:
+            raise _StatementError(f"qubit index {index} >= register size {num_qubits}")
+        targets.append(index)
         if end != len(arg):
             raise _StatementError("expected ',' between gate arguments")
+    return tuple(targets)
 
 
 def _reject(text: str, statements: list[str], line: int, message: str) -> NoReturn:
@@ -254,6 +261,7 @@ def parse_qasm(
     qreg_name: str | None = None
     num_qubits = 0
     built: list[GateApplication] = []
+    reused: dict[tuple, GateApplication] = {}  # parameterless, by (kind, targets)
     measured: list[int] = []
     try:
         for at, stmt in enumerate(statements[1:-1], start=1):
@@ -261,8 +269,7 @@ def parse_qasm(
             if m is None:
                 head = re.match(_TOKENS, stmt)
                 raise _StatementError(f"unknown gate name '{head[1] if head else ';'}'")
-            (head, literal, param_text,
-             name0, index0, name1, index1, name2, index2, args) = m.groups()
+            head, literal, param_text, reg, index0, index1, index2, args = m.groups()
             if head not in gates.CATALOG:
                 if head == "qreg" or head == "creg":
                     rest = stmt[m.end(1):]
@@ -276,6 +283,9 @@ def parse_qasm(
                     if size < 1:
                         raise _StatementError("qreg size must be >= 1")
                     qreg_name, num_qubits = name, size
+                    # in-range indices by their digits, for plain arguments; no
+                    # longer than the program, however wide the register
+                    qubit = {str(i): i for i in range(min(size, len(statements)))}.get
                 elif head == "measure" or head == "barrier":
                     if _ends_in_a_bad_character(re.findall(_TOKENS, stmt)):
                         raise _StatementError("unexpected character")  # reported with its column
@@ -299,25 +309,22 @@ def parse_qasm(
                 params, args = _nested_parameters(args)
             else:
                 params = ()
-            if args is None:  # plain arguments, read by the match
-                arguments = [(name0, int(index0))]
-                if name1 is not None:
-                    arguments.append((name1, int(index1)))
-                    if name2 is not None:
-                        arguments.append((name2, int(index2)))
-            else:
-                arguments = _arguments(args)
-            targets = []
-            for name, index in arguments:
-                if name != qreg_name:
-                    raise _StatementError(f"unknown register '{name}'")
-                if index >= num_qubits:
-                    raise _StatementError(f"qubit index {index} >= register size {num_qubits}")
-                targets.append(index)
+            if args is None:  # plain arguments of one register, read by the match
+                targets = ((qubit(index0),) if index1 is None
+                           else (qubit(index0), qubit(index1)) if index2 is None
+                           else (qubit(index0), qubit(index1), qubit(index2)))
+                if reg != qreg_name or None in targets:  # then an error, or leading zeros
+                    args = stmt[m.start("reg"):]  # read again, one argument at a time
+            if args is not None:
+                targets = _targets(args, qreg_name, num_qubits)
             try:
-                built.append(GateApplication(head, targets, params))
+                if params:
+                    gate = GateApplication(head, targets, params)
+                elif (gate := reused.get((head, targets))) is None:
+                    gate = reused[head, targets] = GateApplication(head, targets)
             except ValueError as exc:
                 raise _StatementError(str(exc)) from None
+            built.append(gate)
     except _StatementError as exc:
         _reject(text, statements, next(_statement_lines(statements, [at])), str(exc))
     if qreg_name is None:

@@ -300,6 +300,26 @@ class TestSubcommands:
                        "--rgi-count", "0", "--out", str(out)) == 0
         assert capsys.readouterr().out == f"wrote 0 mutants to {out}\n"
 
+    @pytest.mark.parametrize("fraction", ["0", "-1", "1.5", "nan", "inf"])
+    def test_fraction_outside_the_unit_interval_is_two(self, files, tmp_path, capsys, fraction):
+        # 1.5, nan and inf wrote every mutant and exited 0
+        out = tmp_path / "mutants"
+        assert run_cli("mutate", "--circuit", files["bell"], "--fraction", fraction,
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fraction must lie in (0, 1]\n"
+        assert not out.exists()
+
+    def test_fraction_one_writes_every_mutant(self, files, tmp_path, capsys):
+        every, whole = tmp_path / "every", tmp_path / "whole"
+        assert run_cli("mutate", "--circuit", files["bell"], "--out", str(every)) == 0
+        assert run_cli("mutate", "--circuit", files["bell"], "--fraction", "1.0",
+                       "--out", str(whole)) == 0
+        manifest = (whole / "manifest.jsonl").read_text()
+        assert manifest == (every / "manifest.jsonl").read_text()
+        assert len(manifest.splitlines()) > 1
+
     def test_mutate_leaves_a_custom_gate_without_peers(self, tmp_path, capsys):
         # a unitary gate belongs to no equivalence class: QGR and QGI make
         # nothing at its site, QGD deletes it, and it keeps its matrix

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from qut.jsonio import (
     nearest_unitary,
     parse_json,
 )
+from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import run_statevector
+from test_qasm import first_same_object, first_same_parameterless_gate, repeated_gate_circuits
 
 
 def test_x_gate_round_trip():
@@ -107,6 +110,36 @@ def test_simulated_equivalence_after_round_trip():
     s1 = run_statevector(c)
     s2 = run_statevector(parse_json(emit_json(c)))
     np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
+
+
+@given(repeated_gate_circuits())
+@settings(max_examples=100, deadline=None)
+def test_both_readers_share_one_object_per_repeated_parameterless_gate(c):
+    again = parse_json(emit_json(c))
+    assert again.structurally_equal(c)
+    assert [g.params for g in again.gates] == [g.params for g in c.gates]
+    assert (first_same_object(again) == first_same_object(parse_qasm(emit_qasm(c)))
+            == first_same_parameterless_gate(c))
+
+
+def test_custom_gates_and_separate_reads_share_no_object():
+    x = GateApplication("unitary", (0,), matrix=np.array([[0, 1], [1, 0]], dtype=complex))
+    text = emit_json(Circuit(2, (x, x, GateApplication("cx", (0, 1)), GateApplication("cx", (0, 1)))))
+    first, second = parse_json(text), parse_json(text)
+    assert first_same_object(first) == [0, 1, 2, 2]
+    assert first.structurally_equal(second)
+    assert not {id(g) for g in first.gates} & {id(g) for g in second.gates}
+
+
+@pytest.mark.parametrize("twin, message", [
+    ({"kind": "cx", "targets": [1, 1]}, "duplicate targets in cx: (1, 1)"),
+    ({"kind": "cx", "targets": [0, 1], "params": [0.5]}, "gate 'cx' takes 0 parameter(s)"),
+    ({"kind": "cx", "targets": [0, 2]}, "gate cx targets (0, 2) exceed register of 2 qubits"),
+])
+def test_bad_gate_after_a_valid_twin_is_rejected(twin, message):
+    doc = {"num_qubits": 2, "gates": [{"kind": "cx", "targets": [0, 1]}, twin]}
+    with pytest.raises(CircuitJsonError, match=f"^{re.escape(message)}$"):
+        parse_json(json.dumps(doc))
 
 
 # Values of every JSON type, including the non-finite numbers json.dumps

@@ -241,6 +241,10 @@ ACCEPTED = [
      "  ccx q[0] , q[1] , q[2] ;\n\n",
      3, (("cx", (2, 0), ()), ("ccx", (0, 1, 2), ())), ()),
     ("index with leading zeros", HEADER + "qreg q[3];\nh q[002];\n", 3, (("h", (2,), ()),), ()),
+    ("index past the statement count", HEADER + "qreg q[100];\nh q[99];\ncx q[99],q[0];\n",
+     100, (("h", (99,), ()), ("cx", (99, 0), ())), ()),
+    ("non-ASCII digits", HEADER + "qreg q[4];\nh q[\u0663];\ncx q[3],q[\u0660];\n",
+     4, (("h", (3,), ()), ("cx", (3, 0), ())), ()),
     ("creg before qreg", HEADER + "creg c[2];\nqreg q[1];\ny q[0];\n", 1, (("y", (0,), ()),), ()),
 ]
 
@@ -259,15 +263,11 @@ def test_accepted_program_circuit_is_pinned(source, num_qubits, gate_list, warni
 _SPACES = st.sampled_from(["", " ", "\t", "\n", " \r\n  "])
 
 
-@st.composite
-def spaced_programs(draw):
-    """A random circuit's canonical text, and the same program with drawn
-    whitespace wherever the grammar allows it, an empty parameter list on
-    some gates without parameters and leading zeros on some indices (twelve
-    of them make an index too long for the statement match to read)."""
-    c = random_circuit(draw(st.integers(1, 4)), draw(st.integers(1, 5)),
-                       seed=draw(st.integers(0, 2**32 - 1)))
-
+def spaced_text(draw, c: Circuit) -> str:
+    """`c`'s program with drawn whitespace wherever the grammar allows it, an
+    empty parameter list on some gates without parameters and leading zeros
+    on some indices (twelve of them make an index too long for the
+    statement match to read)."""
     def space(required=False):
         return draw(_SPACES) or (" " if required else "")
 
@@ -285,7 +285,15 @@ def spaced_programs(draw):
         else:
             head = g.kind + space(required=True)
         statements.append(f"{space()}{head}{','.join(argument(t) for t in g.targets)};")
-    return emit_qasm(c), "".join(statements) + space()
+    return "".join(statements) + space()
+
+
+@st.composite
+def spaced_programs(draw):
+    """A random circuit's canonical text, and its `spaced_text`."""
+    c = random_circuit(draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                       seed=draw(st.integers(0, 2**32 - 1)))
+    return emit_qasm(c), spaced_text(draw, c)
 
 
 @given(spaced_programs())
@@ -296,6 +304,95 @@ def test_spacing_variants_parse_as_the_canonical_text(programs):
     again = parse_qasm(spaced)
     assert again.structurally_equal(c)
     assert [g.params for g in again.gates] == [g.params for g in c.gates]
+
+
+_ARITY = {"cx": 2, "swap": 2, "ccx": 3, "cswap": 3}
+
+
+@st.composite
+def repeated_gate_circuits(draw):
+    """cx, swap, ccx and cswap gates drawn mostly from a few (kind, targets)
+    pairs, so that they repeat on the same targets and on others, with an rz
+    after some of them."""
+    n = draw(st.integers(3, 5))
+
+    def key():
+        kind = draw(st.sampled_from(sorted(_ARITY)))
+        return kind, draw(st.permutations(range(n)))[:_ARITY[kind]]
+
+    pool = [key() for _ in range(draw(st.integers(1, 3)))]
+    body = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind, targets = draw(st.sampled_from(pool)) if draw(st.integers(0, 3)) else key()
+        body.append(GateApplication(kind, targets))
+        if draw(st.booleans()):
+            body.append(GateApplication("rz", targets[:1], (draw(st.floats(-4, 4)),)))
+    return Circuit(n, tuple(body))
+
+
+def first_same_object(c: Circuit) -> list[int]:
+    """For each gate of `c`, the position of the first gate that is it."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(g), i) for i, g in enumerate(c.gates)]
+
+
+def first_same_parameterless_gate(c: Circuit) -> list[int]:
+    """For each gate of `c`, the position of the first parameterless gate of
+    its kind and targets, or its own position when it has parameters."""
+    first: dict[tuple, int] = {}
+    return [i if g.params else first.setdefault((g.kind, g.targets), i)
+            for i, g in enumerate(c.gates)]
+
+
+@given(repeated_gate_circuits(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_repeated_parameterless_gate_is_one_object(c, data):
+    for text in (emit_qasm(c), spaced_text(data.draw, c)):
+        again = parse_qasm(text)
+        assert again.structurally_equal(c)
+        assert [g.params for g in again.gates] == [g.params for g in c.gates]
+        assert first_same_object(again) == first_same_parameterless_gate(c)
+
+
+def test_parses_share_no_gate_object():
+    text = emit_qasm(Circuit(2, (GateApplication("cx", (0, 1)),) * 3))
+    first, second = parse_qasm(text), parse_qasm(text)
+    assert first.structurally_equal(second)
+    assert len({id(g) for g in first.gates}) == 1
+    assert not {id(g) for g in first.gates} & {id(g) for g in second.gates}
+
+
+# A bad statement after an identical valid one, whose gate object the parser
+# would reuse, fails on its own, with the diagnostic the REJECTED table's
+# rules give it.
+AFTER_A_VALID_TWIN = [
+    ("unknown register", "qreg q[2];\ncx q[0],q[1];\ncx q[0],r[1];\n",
+     4, "unknown register 'r'"),
+    ("register before index", "qreg q[2];\ncx q[0],q[1];\ncx r[0],q[5];\n",
+     4, "unknown register 'r'"),
+    ("index out of range", "qreg q[2];\ncx q[0],q[1];\ncx q[0],q[2];\n",
+     4, "qubit index 2 >= register size 2"),
+    ("first index out of range first", "qreg q[2];\ncx q[0],q[1];\ncx q[7],r[1];\n",
+     4, "qubit index 7 >= register size 2"),
+    ("long index out of range", "qreg q[3];\nccx q[0],q[1],q[2];\nccx q[0],q[1],q[0000000000002];\n"
+     "ccx q[0],q[1],q[0000000000003];\n", 5, "qubit index 3 >= register size 3"),
+    ("missing comma", "qreg q[2];\ncx q[0],q[1];\ncx q[0] q[1];\n",
+     4, "expected ',' between gate arguments"),
+    ("extra parameter", "qreg q[1];\nh q[0];\nh(0.5) q[0];\n", 4, "gate 'h' takes 0 parameter(s)"),
+    ("wrong arity", "qreg q[3];\nccx q[0],q[1],q[2];\nccx q[0],q[1];\n",
+     4, "gate 'ccx' has arity 3, got 2 targets"),
+    ("duplicate targets", "qreg q[2];\nswap q[0],q[1];\nswap q[1],q[1];\n",
+     4, "duplicate targets in swap: (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("body, line, message", [case[1:] for case in AFTER_A_VALID_TWIN],
+                         ids=[case[0] for case in AFTER_A_VALID_TWIN])
+def test_bad_statement_after_a_valid_twin_keeps_its_diagnostic(body, line, message):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(HEADER + body)
+    d = exc.value.diagnostic
+    assert (d.line, d.column, d.message) == (line, 1, message)
 
 
 class TestEmit:

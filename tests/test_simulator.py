@@ -173,6 +173,9 @@ class TestPinnedOutputBits:
         assert len(again.gates) == 16378
         assert sum(g.kind == "cx" for g in again.gates) == 8188
         assert again.structurally_equal(prep)
+        assert _amplitude_digest(again) == DENSE_PREP_DIGESTS[12]
+        # 8,190 rotations and one object for each of the 66 distinct cx
+        assert len({id(g) for g in again.gates}) == 8256
 
 
 def _probs(c: Circuit) -> np.ndarray:
