@@ -313,7 +313,7 @@ def parse_qasm(
                 targets = ((qubit(index0),) if index1 is None
                            else (qubit(index0), qubit(index1)) if index2 is None
                            else (qubit(index0), qubit(index1), qubit(index2)))
-                if reg != qreg_name or None in targets:  # then an error, or leading zeros
+                if reg != qreg_name or None in targets:  # an error, or digits the table lacks
                     args = stmt[m.start("reg"):]  # read again, one argument at a time
             if args is not None:
                 targets = _targets(args, qreg_name, num_qubits)
