@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .jsonio import load_circuit
-from .shots import EquivalentStatesError, estimate_shots
+from .shots import EquivalentStatesError, plan_shots
 from .simulator import run_statevector, sample_from_probs
 from .testing import (
     MC_KINDS,
@@ -78,60 +78,6 @@ def _critical_statistic(p_threshold: float, dof: int) -> float:
     return float(chdtri(dof, p_threshold)) * (1.0 - 1e-9)
 
 
-def _first_crossing_asymptotic(
-    stream_values: np.ndarray,
-    probs: np.ndarray,
-    kind: str,
-    p_threshold: float,
-    upto: int,
-) -> int | None:
-    """Smallest s in [1, upto] with asymptotic p-value < p_t.
-
-    Only for the chi2 / g_test kinds, whose statistics admit a cumulative
-    prefix formulation.  Prefixes are scanned in blocks of growing length,
-    stopping at the first crossing.  A prefix whose statistic exceeds
-    `_critical_statistic` is a candidate, and its tail `chdtrc` decides it.
-    """
-    from scipy.special import chdtrc
-
-    support = _support(probs)
-    values = stream_values[:upto]
-    outside = np.flatnonzero(~support[values])
-    horizon = int(outside[0]) + 1 if outside.size else upto + 1
-    # from the first out-of-support sample onward, p = 0 < p_t
-    limit = min(upto, horizon - 1)
-    k = int(support.sum())
-    if k >= 2 and limit >= 1:
-        # remap in-support basis states to compact category indices
-        remap = np.cumsum(support) - 1
-        cats = remap[values[:limit]]
-        p_sup = probs[support] / probs[support].sum()
-        crit = _critical_statistic(p_threshold, k - 1)
-        max_rows = max(1, _SCAN_BLOCK_ELEMENTS // k)
-        carried = np.zeros(k)
-        start, rows = 0, _FIRST_BLOCK_ROWS
-        while start < limit:
-            stop = min(limit, start + min(rows, max_rows))
-            one_hot = np.zeros((stop - start, k))
-            one_hot[np.arange(stop - start), cats[start:stop]] = 1.0
-            # integer counts held exactly in floats: the same values as one
-            # cumsum over the whole stream
-            counts = np.cumsum(one_hot, axis=0) + carried
-            s = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-            stat = gof_statistic(counts, s * p_sup[None, :], kind)
-            candidates = np.flatnonzero(stat > crit)
-            if candidates.size:
-                p_vals = chdtrc(k - 1, stat[candidates])
-                below = candidates[p_vals < p_threshold]
-                if below.size:
-                    return start + int(below[0]) + 1
-            carried = counts[-1]
-            start, rows = stop, 2 * rows
-    if horizon <= upto:
-        return horizon
-    return None
-
-
 def min_shots_statistical(
     stream_values: np.ndarray,
     expected_probs: np.ndarray,
@@ -141,27 +87,48 @@ def min_shots_statistical(
     seed: int = 0,
     mc_reps: int = 1000,
 ) -> int | None:
-    """Minimal prefix length S <= cap of the realized stream with p-value < p_t.
+    """Minimal prefix length S <= cap of the realized stream whose
+    `statistical_p_value` is below p_t, or None (NotDetected).
 
-    The p-value is not monotone in S, so the answer is decided by scanning
-    the prefixes in order up to the first crossing: in blocks of prefixes for
-    the asymptotic kinds, and one p-value per prefix for the others, whose
-    counts grow by one shot at a time.  Returns None (NotDetected) if no
-    S <= cap works.
+    The p-value is not monotone in S, so the prefixes are scanned in order,
+    in blocks of growing length, up to the first crossing; a Monte Carlo
+    kind draws from the seed [seed, S, 0x4D43].  Two screens skip prefixes
+    that cannot cross and decide nothing: a one-outcome support has p = 1,
+    and a chi2 or G statistic at most `_critical_statistic` has a tail
+    above p_t.  The first out-of-support sample ends the scan, with p = 0.
     """
-    cap = min(cap, len(stream_values))
-    if kind in ("chi2", "g_test"):
-        return _first_crossing_asymptotic(
-            stream_values, expected_probs, kind, p_threshold, cap
-        )
-    counts = np.zeros(len(expected_probs), dtype=np.int64)
-    for s, value in enumerate(stream_values[:cap], start=1):
-        counts[value] += 1
-        # a Monte Carlo kind draws from a seed derived per prefix length
-        if statistical_p_value(counts, expected_probs, kind, mc_reps,
-                               [seed, s, 0x4D43]) < p_threshold:
-            return s
-    return None
+    values = stream_values[:cap]
+    support = _support(expected_probs)
+    outside = np.flatnonzero(~support[values])
+    horizon = int(outside[0]) if outside.size else len(values)
+    k = int(support.sum())
+    probs = expected_probs[support]
+    p_sup = probs / probs.sum()
+    # remap in-support basis states to compact category indices
+    cats = (np.cumsum(support) - 1)[values[:horizon]]
+    carried = np.zeros(k)
+    start, rows = 0, _FIRST_BLOCK_ROWS
+    while k >= 2 and start < horizon:
+        stop = min(horizon, start + min(rows, max(1, _SCAN_BLOCK_ELEMENTS // k)))
+        one_hot = np.zeros((stop - start, k))
+        one_hot[np.arange(stop - start), cats[start:stop]] = 1.0
+        # integer counts held exactly in floats: the same values as one
+        # cumsum over the whole stream
+        counts = np.cumsum(one_hot, axis=0) + carried
+        if kind in ("chi2", "g_test"):
+            s = np.arange(start + 1, stop + 1, dtype=float)[:, None]
+            stat = gof_statistic(counts, s * p_sup, kind)
+            candidates = np.flatnonzero(stat > _critical_statistic(p_threshold, k - 1))
+        else:
+            candidates = range(stop - start)
+        for i in candidates:
+            shots = start + int(i) + 1
+            if statistical_p_value(counts[i], probs, kind, mc_reps,
+                                   [seed, shots, 0x4D43]) < p_threshold:
+                return shots
+        carried = counts[-1]
+        start, rows = stop, 2 * rows
+    return horizon + 1 if horizon < len(values) else None
 
 
 def _wrong_type(value, types) -> bool:
@@ -288,14 +255,13 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
     verdict = statevector_verdict(mutant_state, original_state)
     verdict_ms = int((time.perf_counter() - start) * 1000)
     try:
-        if verdict.passed:
-            raise EquivalentStatesError("states pass the statevector test")
-        estimate = estimate_shots(verdict.fidelity, config.p_e)
+        estimate = plan_shots(verdict, config.p_e)
     except EquivalentStatesError:
         return [ExperimentRow(pair.pair_id, t, 0, 0, "error", 0, 0)
                 for t in config.tests]
-    cap = min(config.shot_cap_absolute,
-              math.ceil(config.cap_factor * estimate.shots))
+    # a product past the absolute cap may be too large to round
+    cap = math.ceil(min(config.cap_factor * estimate.shots,
+                        config.shot_cap_absolute))
 
     expected_probs = original_state.probabilities()
     mutant_probs = mutant_state.probabilities()

@@ -21,7 +21,7 @@ import numpy as np
 from .circuit import Circuit
 from .core import DensityMatrix, DimensionMismatchError, fractional_power
 from .simulator import run_statevector
-from .testing import ExpectedSpec, expected_state, statevector_verdict
+from .testing import ExpectedSpec, TestVerdict, expected_state, statevector_verdict
 
 # Past this sigma_11, ln sigma_11 has no significant digits: no finite plan.
 EQUIVALENT_THRESHOLD = 1.0 - 1e-15
@@ -92,6 +92,11 @@ def qcb_exponent(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(-math.log(minimum), 0.0)
 
 
+def _check_error_probability(p_e: float) -> None:
+    if not 0.0 < p_e < 1.0:  # nan too
+        raise ValueError("error probability must lie in (0, 1)")
+
+
 def estimate_shots(fidelity_to_zero: float, p_e: float) -> ShotEstimate:
     """Closed-form shot estimate for a pure reversed state.
 
@@ -100,8 +105,7 @@ def estimate_shots(fidelity_to_zero: float, p_e: float) -> ShotEstimate:
     """
     if not 0.0 <= fidelity_to_zero <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    if not 0.0 < p_e < 1.0:
-        raise ValueError("error probability must lie in (0, 1)")
+    _check_error_probability(p_e)
     if fidelity_to_zero >= EQUIVALENT_THRESHOLD:
         raise EquivalentStatesError("sigma_11 is within 1e-15 of 1, so ln sigma_11 "
                                     "has no significant digits; no shot plan")
@@ -109,6 +113,14 @@ def estimate_shots(fidelity_to_zero: float, p_e: float) -> ShotEstimate:
         return ShotEstimate(1, 0.0, p_e)
     shots = max(math.ceil(math.log(p_e) / math.log(fidelity_to_zero)), 1)
     return ShotEstimate(shots, fidelity_to_zero, p_e)
+
+
+def plan_shots(same: TestVerdict, p_e: float) -> ShotEstimate:
+    """A pair's shot plan at the fidelity its "same state?" verdict carries;
+    EquivalentStatesError for states that pass it."""
+    if same.passed:
+        raise EquivalentStatesError("states pass the statevector test; no shot plan")
+    return estimate_shots(same.fidelity, p_e)
 
 
 def estimate_shots_for_pair(
@@ -121,10 +133,9 @@ def estimate_shots_for_pair(
     a preparation of the expected state.  For pure states that is the
     overlap |<psi_E|U|0...0>|^2, the fidelity of the two n-qubit states.
     """
-    same = statevector_verdict(run_statevector(mutant), expected_state(expected))
-    if same.passed:
-        raise EquivalentStatesError("states pass the statevector test; no shot plan")
-    return estimate_shots(same.fidelity, p_e)
+    _check_error_probability(p_e)  # before anything is simulated
+    return plan_shots(statevector_verdict(run_statevector(mutant),
+                                          expected_state(expected)), p_e)
 
 
 def shot_curve(

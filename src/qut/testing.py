@@ -6,7 +6,7 @@ embedded simulator and asserts on the outcome against the expected state.
 The statistical tests sample the measured distribution of W.U: one verdict,
 `statistical_test`, and one p-value, `statistical_p_value`, serve all six
 kinds (`STAT_KINDS` and the Monte Carlo `MC_KINDS`), and the bench's
-per-prefix scan calls the same p-value.  The swap and
+min-shot scan decides every prefix with the same p-value.  The swap and
 inverse tests sample their per-shot outcome law, a function of the fidelity
 F = |<psi_E|psi_A>|^2 alone (`first_failure_under_law`); the harness circuits
 that realize those laws on hardware are built by `circuit.build_swap_harness`

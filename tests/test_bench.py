@@ -14,6 +14,8 @@ from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import emit_qasm
 from qut.simulator import run_statevector, sample_from_probs
 from qut.testing import (
+    MC_KINDS,
+    STAT_KINDS,
     first_failure_under_law,
     inverse_test,
     statistical_p_value,
@@ -243,6 +245,55 @@ class TestMinShots:
         found = bench.min_shots_statistical(vals, probs, "chi2", 1e-6, 64,
                                             seed=5)
         assert found is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(STAT_KINDS + MC_KINDS),
+           weights=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any),
+           draws=st.lists(st.integers(0, 3), min_size=1, max_size=48),
+           cap=st.integers(1, 48),
+           outside=st.one_of(st.none(), st.integers(-4, 4)),
+           p_t=st.sampled_from([0.3, 0.05, 1e-3]),
+           block_elements=st.integers(1, 24),
+           first_rows=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kind_matches_naive_scan(self, kind, weights, draws, cap, outside,
+                                           p_t, block_elements, first_rows, seed):
+        # zero weights are zero-probability outcomes, and one nonzero weight
+        # a one-outcome support.  The stream draws from the support; an
+        # out-of-support sample then replaces the shot `outside` shots from
+        # the in-support stream's first crossing: before, at or after it.
+        # Blocks of at most 24 counts put block edges inside every cap.
+        probs = np.array(weights, dtype=float) / sum(weights)
+        inside = np.flatnonzero(probs)
+        vals = inside[np.array(draws) % inside.size]
+        # at most 2,925 vectors a prefix for the exact multinomial
+        cap = min(cap, len(vals), 24 if kind == "multinomial" else 48)
+        if outside is not None and inside.size < len(probs):
+            crossing = self._naive(vals, probs, kind, p_t, cap, seed, mc_reps=30)
+            position = (cap if crossing is None else crossing) - 1 + outside
+            vals[min(max(position, 0), len(vals) - 1)] = np.flatnonzero(probs == 0)[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_SCAN_BLOCK_ELEMENTS", block_elements)
+            patch.setattr(bench, "_FIRST_BLOCK_ROWS", first_rows)
+            fast = bench.min_shots_statistical(vals, probs, kind, p_t, cap,
+                                               seed=seed, mc_reps=30)
+        assert fast == self._naive(vals, probs, kind, p_t, cap, seed, mc_reps=30)
+
+    def test_chi2_crossing_is_decided_by_statistical_p_value(self, monkeypatch):
+        # the crossing returned is the last prefix the scan asked
+        # `statistical_p_value` about, and its answer was below p_t
+        asked = []
+
+        def spy(counts, *args):
+            p = statistical_p_value(counts, *args)
+            asked.append((int(counts.sum()), p))
+            return p
+
+        monkeypatch.setattr(bench, "statistical_p_value", spy)
+        probs = np.array([0.5, 0.5])
+        vals, p_t = self._crossing_stream(300, "chi2", probs)
+        assert bench.min_shots_statistical(vals, probs, "chi2", p_t, len(vals)) == 300
+        assert asked[-1][0] == 300 and asked[-1][1] < p_t
 
 
 class TestConfig:

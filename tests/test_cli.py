@@ -246,6 +246,20 @@ class TestSubcommands:
                        "--expected", str(prog)) == 0
         assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
+    @pytest.mark.parametrize("program", ["h", "x"])
+    @pytest.mark.parametrize("pe", ["5", "nan", "-1", "0", "inf"])
+    def test_estimate_shots_rejects_pe_outside_the_unit_interval(
+            self, tmp_path, capsys, program, pe):
+        # against h, an equivalent pair used to print "equivalent" and exit 0
+        paths = {}
+        for gate in {program, "h"}:
+            paths[gate] = tmp_path / f"{gate}.qasm"
+            paths[gate].write_text(emit_qasm(Circuit(1, (GateApplication(gate, (0,)),))))
+        assert run_cli("estimate-shots", "--program", str(paths[program]),
+                       "--expected", str(paths["h"]), "--pe", pe) == 2
+        assert capsys.readouterr() == (
+            "", "error: error probability must lie in (0, 1)\n")
+
     def test_estimate_shots_reports_parser_warnings(self, files, tmp_path,
                                                     capsys):
         measured = tmp_path / "measured.qasm"
@@ -491,6 +505,22 @@ class TestInputContract:
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
         assert self._bench(tmp_path, [pair], **config) == (3, False)
         assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+    def test_cap_factor_past_the_absolute_cap(self, tmp_path):
+        # 1e307 x the shot plan used to overflow math.ceil with a traceback
+        pair = {"pair_id": "p0"}
+        for name, c in (("original", Circuit(1, (GateApplication("h", (0,)),))),
+                        ("mutant", Circuit(1, (GateApplication("h", (0,)),
+                                               GateApplication("rz", (0,), (0.3,)))))):
+            pair[name] = str(tmp_path / f"{name}.qasm")
+            Path(pair[name]).write_text(emit_qasm(c))
+        tables = []
+        for cap_factor in (1e6, 1e307):
+            run_dir = tmp_path / str(cap_factor)
+            run_dir.mkdir()
+            assert self._bench(run_dir, [pair], cap_factor=cap_factor) == (0, True)
+            tables.append((run_dir / "rows.csv").read_text())
+        assert tables[0] == tables[1]
 
     def test_empty_corpus_is_three(self, tmp_path, capsys):
         assert self._bench(tmp_path, []) == (3, False)
