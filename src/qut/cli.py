@@ -226,44 +226,41 @@ _COMMANDS = {
 }
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, built when argparse dispatches to it.  argparse
-    calls nothing on it but `parse_known_args`, so its `ArgumentParser`
-    set-up and its argument declarations wait until then, and a call builds
-    no other subcommand's parser."""
+def _formatter():
+    # argparse would compute this width again for every argument it declares
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
-    def __init__(self, *, declarations, handler, **kwargs):
-        self._pending = (kwargs, declarations, handler)
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending:
-            kwargs, declarations, handler = self._pending
-            self._pending = None
-            super().__init__(**kwargs)
-            for flag, options in declarations:
-                self.add_argument(flag, **options)
-            self.set_defaults(func=handler)
-        return super().parse_known_args(args, namespace)
+def _declare(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, options in _COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=_COMMANDS[name][2])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse would compute this width again for every argument it declares
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    """Every subcommand declared: the parser of help and usage errors."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(prog="qut", formatter_class=formatter,
                                      description="quantum unit-test runner")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_SubcommandParser)
-    for name, (help_text, declarations, handler) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, formatter_class=formatter,
-                       declarations=declarations, handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extras = None, argv
+        if argv and argv[0] in _COMMANDS:
+            # the parser `build_parser` gives this subcommand, built alone
+            parser = argparse.ArgumentParser(prog=f"qut {argv[0]}",
+                                             formatter_class=_formatter())
+            args, extras = _declare(parser, argv[0]).parse_known_args(argv[1:])
+        if args is None or extras:  # help, usage errors and leftovers, as the full parser words them
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

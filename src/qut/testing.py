@@ -42,7 +42,7 @@ MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
 PEARSON_MIN_SHOTS = 13
 DEFAULT_TOLERANCE = 1e-10
 MULTINOMIAL_ENUM_LIMIT = 10**6
-_ENUM_CHUNK = 1 << 18  # counts per log-pmf call of the exact multinomial
+_ENUM_CHUNK = 1 << 18  # counts per array of the exact and Monte Carlo multinomial p-values
 
 # ExpectedSpec: either a preparation circuit for |psi_E> or the vector itself.
 ExpectedSpec = Circuit | StateVector
@@ -156,7 +156,9 @@ def statistical_p_value(
     zero read as 0; `multinomial` is exact.  A Monte Carlo kind's p is the
     share of `mc_reps` count vectors, drawn from `default_rng(mc_seed)`,
     scoring at most the observed one (no continuity correction): the score
-    is the chi2 or G tail, or the multinomial log-pmf.
+    is the chi2 or G tail, or the multinomial log-pmf.  The vectors are
+    drawn and scored about `_ENUM_CHUNK` counts at a time, so memory stays
+    bounded whatever `mc_reps` is.
     """
     from scipy.special import chdtrc
 
@@ -183,9 +185,15 @@ def statistical_p_value(
         stat = gof_statistic(rows, expected_counts, kind)
         return chdtrc(len(p) - 1, np.maximum(stat, 0.0))
 
-    synthetic = np.random.default_rng(mc_seed).multinomial(shots, p, size=mc_reps)
-    observed = score(obs[None, :])[0]
-    return float((score(synthetic.astype(float)) <= observed + 1e-12).sum() / mc_reps)
+    # drawn in chunks of `_ENUM_CHUNK` counts: successive draws from one
+    # generator continue its stream, so the rows are those of one big draw
+    rng = np.random.default_rng(mc_seed)
+    threshold = score(obs[None, :])[0] + 1e-12
+    rows = max(1, _ENUM_CHUNK // len(p))
+    hits = sum(int((score(rng.multinomial(shots, p, size=min(rows, mc_reps - start))
+                          .astype(float)) <= threshold).sum())
+               for start in range(0, mc_reps, rows))
+    return hits / mc_reps
 
 
 def _check_draw(shots: int, seed: int) -> None:

@@ -1063,6 +1063,25 @@ def _main_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _eager_captured(argv):
+    """Reference for `main`: `_eager_parser` parses every argv, and the
+    handler it picks runs with `main`'s exit codes and error lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = _eager_parser().parse_args(list(argv))
+            code = args.func(args)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        except cli.CliIoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+        except (ValueError, IndexError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
 # Tokens of a `qut` argv: every subcommand's flags (so some land on the wrong
 # subcommand), help, abbreviations and unknown flags, and values of each kind.
 _FLAGS = ["--program", "--input", "--expected", "--test", "--shots", "--p-value", "--seed",
@@ -1086,26 +1105,29 @@ _VALID = {
 @st.composite
 def cli_argvs(draw):
     """A `qut` argv: a subcommand (or an unknown one, or none), then tokens
-    drawn at random, or the subcommand's valid argv as it is or with a few
-    tokens inserted."""
+    drawn at random, or the subcommand's valid argv as it is, with a few
+    tokens inserted, or followed by a few tokens it does not declare."""
     command = draw(st.sampled_from([*_VALID, "bogus", "-h", None]))
     tokens = st.sampled_from(_FLAGS) | st.sampled_from(_VALUES)
-    form = draw(st.sampled_from(["valid", "edited", "random"]))
+    form = draw(st.sampled_from(["valid", "edited", "trailing", "random"]))
     if command in _VALID and form != "random":
         argv = list(_VALID[command])
         if command == "run":
             argv.append(draw(st.sampled_from(sorted(_TEST_NAMES))))
         for token in draw(st.lists(tokens, min_size=1, max_size=3)) if form == "edited" else ():
             argv.insert(draw(st.integers(0, len(argv))), token)
+        if form == "trailing":  # unknown options and stray values: the full parser's error
+            argv += draw(st.lists(st.sampled_from(["--bogus", "--prog", "--", "x", "0", "-1",
+                                                   "--bogus=1", "-q"]), min_size=1, max_size=3))
     else:
         argv = draw(st.lists(tokens, max_size=8))
     return ([command] if command else []) + argv
 
 
 class TestParserDeclarations:
-    """Each call declares only the subcommand it runs, and shares one help
-    width; what a call prints and returns is as if every subcommand had been
-    declared up front."""
+    """A call that names a subcommand first builds that subcommand's parser
+    alone, with one help width; what a call prints and returns is as if
+    every subcommand had been declared up front."""
 
     @pytest.mark.parametrize("command", sorted(_HELP_TEXTS))
     def test_help_text_is_pinned(self, monkeypatch, command):
@@ -1135,9 +1157,21 @@ class TestParserDeclarations:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setenv("COLUMNS", columns)
                 lazy = _main_captured(argv)
-                patch.setattr(cli, "build_parser", _eager_parser)
-                eager = _main_captured(argv)
+                eager = _eager_captured(argv)
         assert lazy == eager, argv
+
+    def test_a_run_builds_one_parser(self, monkeypatch, files):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        code = run_cli("run", "--program", files["bell"], "--expected", files["bell"],
+                       "--test", "swap", "--shots", "10")
+        assert (code, built) == (0, ["qut run"])
 
     def test_import_loads_no_other_subcommand(self):
         # a fresh interpreter: `import qut.cli` leaves the bench, mutation and

@@ -344,6 +344,7 @@ def first_same_parameterless_gate(c: Circuit) -> list[int]:
             for i, g in enumerate(c.gates)]
 
 
+@pytest.mark.slow
 @given(repeated_gate_circuits(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_repeated_parameterless_gate_is_one_object(c, data):

@@ -303,7 +303,40 @@ class TestStatisticalTest:
         assert 0.005 <= fails / 1000 <= 0.12
 
 
+def _one_draw_mc_p_value(counts, probs, kind, mc_reps, mc_seed):
+    """Reference: the Monte Carlo p-value with all `mc_reps` vectors drawn
+    and scored at once, for counts and probabilities on a full support."""
+    from scipy.special import chdtrc
+
+    shots = int(counts.sum())
+    p = probs / probs.sum()
+
+    def score(rows):
+        if kind == "mc_multinomial":
+            return testing._multinomial_logpmf(rows, shots, p)
+        return chdtrc(len(p) - 1, np.maximum(gof_statistic(rows, shots * p, kind), 0.0))
+
+    synthetic = np.random.default_rng(mc_seed).multinomial(shots, p, size=mc_reps)
+    observed = score(counts[None, :].astype(float))[0]
+    return float((score(synthetic.astype(float)) <= observed + 1e-12).sum() / mc_reps)
+
+
 class TestMonteCarlo:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(MC_KINDS),
+           weights=st.lists(st.integers(1, 20), min_size=2, max_size=6),
+           data=st.data(), mc_reps=st.integers(1, 40), rows=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chunked_draws_keep_every_p_value(self, kind, weights, data, mc_reps, rows, seed):
+        probs = np.array(weights, dtype=float) / sum(weights)
+        counts = np.array(data.draw(st.lists(st.integers(0, 12), min_size=len(weights),
+                                             max_size=len(weights)).filter(any)))
+        expected = _one_draw_mc_p_value(counts, probs, kind, mc_reps, [seed, 7])
+        assert statistical_p_value(counts, probs, kind, mc_reps, [seed, 7]) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(testing, "_ENUM_CHUNK", rows * len(weights))
+            assert statistical_p_value(counts, probs, kind, mc_reps, [seed, 7]) == expected
+
     def test_correct_program_mostly_passes(self):
         passes = sum(
             statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 500, 0.05,
