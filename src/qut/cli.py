@@ -3,9 +3,12 @@
 Exit codes: 0 pass/success, 1 fail verdict, 2 usage error, 3 I/O or parse
 error.
 
-`_COMMANDS` holds each subcommand's help, arguments and handler.  One call
-builds the parser of the subcommand it runs and no other, and the handlers
-of `bench`, `mutate` and `estimate-shots` import their modules when they run.
+`_COMMANDS` holds each subcommand's help, arguments and handler.  A call
+that names a subcommand first builds that subcommand's parser alone.  Any
+other argv, and one that leaves arguments unrecognized, goes to
+`build_parser`, which declares every subcommand, so help texts and usage
+errors are the full parser's.  The handlers of `bench`, `mutate` and
+`estimate-shots` import their modules when they run.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
             parser = argparse.ArgumentParser(prog=f"qut {argv[0]}",
                                              formatter_class=_formatter())
             args, extras = _declare(parser, argv[0]).parse_known_args(argv[1:])
-        if args is None or extras:  # help, usage errors and leftovers, as the full parser words them
+        if args is None or extras:  # help, usage errors and leftovers in the full parser's words
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS

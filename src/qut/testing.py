@@ -185,8 +185,7 @@ def statistical_p_value(
         stat = gof_statistic(rows, expected_counts, kind)
         return chdtrc(len(p) - 1, np.maximum(stat, 0.0))
 
-    # drawn in chunks of `_ENUM_CHUNK` counts: successive draws from one
-    # generator continue its stream, so the rows are those of one big draw
+    # successive draws continue one generator's stream: the rows of one big draw
     rng = np.random.default_rng(mc_seed)
     threshold = score(obs[None, :])[0] + 1e-12
     rows = max(1, _ENUM_CHUNK // len(p))

@@ -62,6 +62,17 @@ def test_summary_has_medians_quartiles_and_wins(tmp_path):
         "change": {"incorrect_runs": 0, "failed_share": 0.0}}
 
 
+@pytest.mark.parametrize("runs", [[], [{"seed": 1, "result": None},
+                                       {"seed": 2, "result": {"raw": {"rounds": [{"ops": 3}]}}}]])
+def test_dump_reads_back_as_written(runs):
+    ledger_ = {"commits": {"parent": "a", "change": "b"}, "summary": {"w": {"pairs": 0}},
+               "runs": runs}
+    text = ledger.dump(ledger_)
+    assert json.loads(text) == ledger_
+    lines = [line.rstrip(",") for line in text.splitlines()]
+    assert all("    " + json.dumps(run) in lines for run in runs)
+
+
 def test_one_pair_reads_its_own_values_as_quartiles(tmp_path):
     rows = [("shot-planning", 3, "parent", _result(10, 100.0, 0.05)),
             ("shot-planning", 3, "change", _result(10, 90.0, 0.06))]

@@ -97,6 +97,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def dump(ledger: dict) -> str:
+    """The ledger as JSON, indented but with each run on one line: a run
+    keeps every round its result file lists."""
+    head = json.dumps({k: v for k, v in ledger.items() if k != "runs"}, indent=2)
+    runs = ",\n".join("    " + json.dumps(run) for run in ledger["runs"])
+    return f'{head[:-2]},\n  "runs": [\n{runs}\n  ]\n}}\n'
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit measured as the base")
@@ -129,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"ops_per_s {ops.get('value')}", file=sys.stderr)
     ledger = {"commits": commits, "run_seconds": bench["run_seconds"], "machine": machine,
               "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
-    Path(args.out).write_text(json.dumps(ledger, indent=2) + "\n")
+    Path(args.out).write_text(dump(ledger))
     return 0 if all(run["exit"] == 0 for run in runs) else 1
 
 
