@@ -16,7 +16,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -25,25 +25,20 @@ import numpy as np
 from .circuit import Circuit
 from .jsonio import load_circuit
 from .shots import EquivalentStatesError, plan_shots
-from .simulator import run_statevector, sample_from_probs
+from .simulator import _support, run_statevector, sample_from_probs
 from .testing import (
     MC_KINDS,
+    MC_SEED_TAG,
     STAT_KINDS,
     MultinomialIntractableError,
     first_failure_under_law,
     gof_statistic,
     statevector_verdict,
     statistical_p_value,
-    _support,
 )
 
 SAMPLED_TESTS = STAT_KINDS + MC_KINDS + ("swap", "inverse")
 ALL_TESTS = SAMPLED_TESTS + ("statevector",)
-
-CSV_HEADER = [
-    "pair_id", "test", "repetition", "seed", "verdict",
-    "shots_used", "shot_estimate", "rank", "wall_time_ms",
-]
 
 
 def mix_seed(base_seed: int, pair_id: str, test: str, repetition: int) -> int:
@@ -92,10 +87,10 @@ def min_shots_statistical(
 
     The p-value is not monotone in S, so the prefixes are scanned in order,
     in blocks of growing length, up to the first crossing; a Monte Carlo
-    kind draws from the seed [seed, S, 0x4D43].  Two screens skip prefixes
-    that cannot cross and decide nothing: a one-outcome support has p = 1,
-    and a chi2 or G statistic at most `_critical_statistic` has a tail
-    above p_t.  The first out-of-support sample ends the scan, with p = 0.
+    kind draws from the seed [seed, S, MC_SEED_TAG].  Two screens skip
+    prefixes that cannot cross and decide nothing: a one-outcome support has
+    p = 1, and a chi2 or G statistic at most `_critical_statistic` has a
+    tail above p_t.  The first out-of-support sample ends the scan, with p = 0.
     """
     values = stream_values[:cap]
     support = _support(expected_probs)
@@ -124,7 +119,7 @@ def min_shots_statistical(
         for i in candidates:
             shots = start + int(i) + 1
             if statistical_p_value(counts[i], probs, kind, mc_reps,
-                                   [seed, shots, 0x4D43]) < p_threshold:
+                                   [seed, shots, MC_SEED_TAG]) < p_threshold:
                 return shots
         carried = counts[-1]
         start, rows = stop, 2 * rows
@@ -205,6 +200,10 @@ class ExperimentRow:
     shot_estimate: int
     rank: int | None = None
     wall_time_ms: int = 0
+
+
+# one CSV column per field, in field order; csv writes a None rank as ""
+CSV_HEADER = [f.name for f in fields(ExperimentRow)]
 
 
 @dataclass
@@ -322,12 +321,7 @@ def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.pair_id, r.test, r.repetition, r.seed, r.verdict,
-            r.shots_used, r.shot_estimate,
-            "" if r.rank is None else r.rank, r.wall_time_ms,
-        ])
+    writer.writerows(vars(r).values() for r in rows)
     return buf.getvalue()
 
 

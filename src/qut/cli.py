@@ -90,15 +90,8 @@ def _cmd_run(args) -> int:
     else:
         verdict = statistical_test(w, program, expected, args.shots,
                                    args.p_value, test, args.seed, args.mc_reps)
-    detail = {
-        "outcome": verdict.outcome,
-        "p_value": verdict.p_value,
-        "first_failure_shot": verdict.first_failure_shot,
-        "max_amplitude_deviation": verdict.max_amplitude_deviation,
-        "fidelity": verdict.fidelity,
-        "failure_probability": verdict.failure_probability,
-        "warnings": warnings + list(verdict.warnings),
-    }
+    # the verdict's fields in order, the parser's warnings before its own
+    detail = vars(verdict) | {"warnings": warnings + list(verdict.warnings)}
     print(json.dumps({k: v for k, v in detail.items() if v not in (None, [])}))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
@@ -112,8 +105,7 @@ def _cmd_estimate_shots(args) -> int:
     try:
         est = estimate_shots_for_pair(expected, program, p_e=args.pe)
         # every estimate is the pure-state closed form
-        detail = {"shots": est.shots, "sigma11": est.sigma11,
-                  "p_e": est.p_e, "method": "closed_form"}
+        detail = {**vars(est), "method": "closed_form"}
     except EquivalentStatesError as exc:
         detail = {"equivalent": True, "message": str(exc)}
     print(json.dumps(detail | ({"warnings": warnings} if warnings else {})))

@@ -12,6 +12,9 @@ it:
   Geometric(q): one draw, whatever the shot count.
 - `sample_from_probs`: a realized sequence of basis indices by inverse-CDF,
   for callers that read its prefixes (the bench's min-shot search).
+
+Outcomes below PROB_FLOOR are never drawn: `_support` is that rule, and
+`testing.statistical_p_value` and the bench's min-shot search read it too.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ def run_statevector(c: Circuit) -> StateVector:
     return StateVector(c.num_qubits, evolve(amps, c.gates))
 
 
+def _support(probs: np.ndarray) -> np.ndarray:
+    return probs >= PROB_FLOOR  # the outcomes the samplers can draw
+
+
 def _floored(probs: np.ndarray) -> np.ndarray:
-    return np.where(probs < PROB_FLOOR, 0.0, probs)
+    return np.where(_support(probs), probs, 0.0)
 
 
 def sample_from_probs(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -6,11 +6,13 @@ embedded simulator and asserts on the outcome against the expected state.
 The statistical tests sample the measured distribution of W.U: one verdict,
 `statistical_test`, and one p-value, `statistical_p_value`, serve all six
 kinds (`STAT_KINDS` and the Monte Carlo `MC_KINDS`), and the bench's
-min-shot scan decides every prefix with the same p-value.  The swap and
-inverse tests sample their per-shot outcome law, a function of the fidelity
-F = |<psi_E|psi_A>|^2 alone (`first_failure_under_law`); the harness circuits
-that realize those laws on hardware are built by `circuit.build_swap_harness`
-and `circuit.build_inverse_harness`.
+min-shot scan decides every prefix with the same p-value.  Their support,
+the outcomes that can occur, is `simulator`'s floor, and every Monte Carlo
+seed sequence ends in `MC_SEED_TAG`.  The swap and inverse tests sample
+their per-shot outcome law, a function of the fidelity F = |<psi_E|psi_A>|^2
+alone (`first_failure_under_law`); the harness circuits that realize those
+laws on hardware are built by `circuit.build_swap_harness` and
+`circuit.build_inverse_harness`.
 
 `statevector_verdict(actual, expected).passed` at its defaults is the one
 "same state?" predicate: the mutant filter, the shot planner, the bench and
@@ -30,7 +32,7 @@ from .circuit import Circuit, compose
 from .core import StateVector, check_same_width, fidelity, global_phase_aligned
 from .simulator import (
     MAX_SHOTS,
-    PROB_FLOOR,
+    _support,
     first_failing_shot,
     multinomial_counts,
     run_statevector,
@@ -43,6 +45,7 @@ PEARSON_MIN_SHOTS = 13
 DEFAULT_TOLERANCE = 1e-10
 MULTINOMIAL_ENUM_LIMIT = 10**6
 _ENUM_CHUNK = 1 << 18  # counts per array of the exact and Monte Carlo multinomial p-values
+MC_SEED_TAG = 0x4D43  # "MC": the last entry of every Monte Carlo seed sequence
 
 # ExpectedSpec: either a preparation circuit for |psi_E> or the vector itself.
 ExpectedSpec = Circuit | StateVector
@@ -58,12 +61,12 @@ class TestVerdict:
     p_value: float | None = None
     first_failure_shot: int | None = None
     max_amplitude_deviation: float | None = None
-    warnings: tuple[str, ...] = ()
     # F = |<psi_E|psi_A>|^2 (statevector, swap and inverse), and the swap and
     # inverse per-shot failure probability drawn from (0.0 when the states
     # pass the "same state?" predicate)
     fidelity: float | None = None
     failure_probability: float | None = None
+    warnings: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -135,10 +138,6 @@ def exact_multinomial_p_value(observed: np.ndarray, probs: np.ndarray) -> float:
     return float(min(total, 1.0))
 
 
-def _support(probs: np.ndarray) -> np.ndarray:
-    return probs >= PROB_FLOOR  # the outcomes `multinomial_counts` can draw
-
-
 def statistical_p_value(
     counts: np.ndarray,
     probs: np.ndarray,
@@ -158,8 +157,10 @@ def statistical_p_value(
     scoring at most the observed one (no continuity correction): the score
     is the chi2 or G tail, or the multinomial log-pmf.  The vectors are
     drawn and scored about `_ENUM_CHUNK` counts at a time, so memory stays
-    bounded whatever `mc_reps` is.
+    bounded whatever `mc_reps` is; a Monte Carlo kind needs `mc_reps` >= 1.
     """
+    if kind in MC_KINDS and mc_reps < 1:
+        raise ValueError("mc_reps must be >= 1")
     from scipy.special import chdtrc
 
     support = _support(probs)
@@ -214,20 +215,18 @@ def statistical_test(
 ) -> TestVerdict:
     """Sample W.U `shots` times and compare the histogram with |psi_E>'s
     distribution by `statistical_p_value`.  A Monte Carlo kind draws its
-    `mc_reps` synthetic histograms from the seed sequence [seed, 0x4D43]."""
+    `mc_reps` synthetic histograms from the seed sequence [seed, MC_SEED_TAG]."""
     _check_draw(shots, seed)
     if not 0.0 < p_threshold < 1.0:
         raise ValueError("p threshold must lie in (0, 1)")
     if kind not in STAT_KINDS + MC_KINDS:
         raise ValueError(f"kind must be one of {STAT_KINDS + MC_KINDS}")
-    if kind in MC_KINDS and mc_reps < 1:
-        raise ValueError("mc_reps must be >= 1")
     actual = run_statevector(compose(w, u))
     target = expected_state(expected)
     check_same_width(actual, target)  # before any draw
     counts = multinomial_counts(actual.probabilities(), shots, seed)
     p = statistical_p_value(counts, target.probabilities(), kind, mc_reps,
-                            [seed, 0x4D43])  # "MC"
+                            [seed, MC_SEED_TAG])
     warns = ()
     if kind in ("chi2", "g_test") and shots < PEARSON_MIN_SHOTS:
         warns = (f"fewer than {PEARSON_MIN_SHOTS} observations; "

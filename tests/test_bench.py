@@ -352,6 +352,10 @@ class TestRunBenchmark:
             bench.run_benchmark(bench.load_corpus(small_corpus), cfg))
         assert a == b
         assert a.splitlines()[0] == ",".join(bench.CSV_HEADER)
+        assert bench.CSV_HEADER == [
+            "pair_id", "test", "repetition", "seed", "verdict",
+            "shots_used", "shot_estimate", "rank", "wall_time_ms",
+        ]
         assert "\r" not in a
 
     def test_cap_law(self, small_corpus):

@@ -213,6 +213,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert "tolerance must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("test", ["mc-chi2", "mc-g", "mc-multinomial"])
+    @pytest.mark.parametrize("program", ["bell", "broken"])
+    def test_no_monte_carlo_draws_is_two(self, files, capsys, test, program):
+        # |+0> puts counts outside the Bell state's support, where p is 0
+        # without a draw: the check comes first all the same
+        assert run_cli("run", "--program", files[program], "--expected", files["bell"],
+                       "--test", test, "--mc-reps", "0") == 2
+        assert capsys.readouterr() == ("", "error: mc_reps must be >= 1\n")
+
+    def test_p_threshold_outside_the_unit_interval_is_two(self, files, capsys):
+        assert run_cli("run", "--program", files["bell"], "--expected", files["bell"],
+                       "--test", "chi2", "--p-value", "2") == 2
+        assert capsys.readouterr() == ("", "error: p threshold must lie in (0, 1)\n")
+
+    @pytest.mark.parametrize("test", sorted(_TEST_NAMES))
+    def test_input_of_another_width_is_two(self, files, tmp_path, capsys, test):
+        one = tmp_path / "one.qasm"
+        one.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        assert run_cli("run", "--program", str(one), "--input", files["bell"],
+                       "--expected", str(one), "--test", test) == 2
+        assert capsys.readouterr() == (
+            "", "error: composed circuits must share a qubit count\n")
+
+    def test_tuple_parameter_is_three(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\nqreg q[1];\nrx((1,2)) q[0];\n")
+        assert run_cli("run", "--program", str(bad), "--expected", files["bell"],
+                       "--test", "chi2") == 3
+        assert capsys.readouterr() == (
+            "", f"error: {bad}: line 3, col 1: expected ')' in parameter expression\n")
+
     def test_parse_error_is_three(self, files, tmp_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")
@@ -233,10 +264,12 @@ class TestSubcommands:
         assert doc["num_qubits"] == 2
 
     def test_estimate_shots(self, files, capsys):
+        # byte for byte: the estimate's fields in order, then the method
         assert run_cli("estimate-shots", "--program", files["broken"],
                        "--expected", files["bell"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["shots"] >= 1 and 0 <= out["sigma11"] < 1
+        assert capsys.readouterr() == (
+            '{"shots": 3, "sigma11": 0.2499999999999999, "p_e": 0.05, '
+            '"method": "closed_form"}\n', "")
 
     def test_estimate_shots_refuses_a_self_pair(self, tmp_path, capsys):
         # its overlap with itself rounds to 0.9999999999999989
@@ -589,6 +622,61 @@ class TestVerdictEvidence:
             assert run_cli("run", "--program", program, "--expected", files["bell"],
                            "--test", test, "--shots", "100", "--mc-reps", "100") == code
             assert set(json.loads(capsys.readouterr().out)) == keys, program
+
+    # Each family's `qut run` line, byte for byte, on a pass (the Bell state
+    # itself) and on a fail (|+0>), at 100 shots, 100 Monte Carlo draws and
+    # seed 0: the keys come in the verdict's field order.
+    RUN_LINES = {
+        "chi2": ('{"outcome": "pass", "p_value": 0.841480581121794}',
+                 '{"outcome": "fail", "p_value": 0.0}'),
+        "g": ('{"outcome": "pass", "p_value": 0.8414753664752046}',
+              '{"outcome": "fail", "p_value": 0.0}'),
+        "multinomial": ('{"outcome": "pass", "p_value": 0.9204107626127929}',
+                        '{"outcome": "fail", "p_value": 0.0}'),
+        **{test: ('{"outcome": "pass", "p_value": 0.91}',
+                  '{"outcome": "fail", "p_value": 0.0}')
+           for test in ("mc-chi2", "mc-g", "mc-multinomial")},
+        "swap": ('{"outcome": "pass", "fidelity": 0.9999999999999996, '
+                 '"failure_probability": 0.0}',
+                 '{"outcome": "fail", "first_failure_shot": 3, "fidelity": '
+                 '0.2499999999999999, "failure_probability": 0.37500000000000006}'),
+        "inverse": ('{"outcome": "pass", "fidelity": 0.9999999999999996, '
+                    '"failure_probability": 0.0}',
+                    '{"outcome": "fail", "first_failure_shot": 1, "fidelity": '
+                    '0.2499999999999999, "failure_probability": 0.7500000000000001}'),
+        "statevector": ('{"outcome": "pass", "max_amplitude_deviation": 0.0, '
+                        '"fidelity": 0.9999999999999996}',
+                        '{"outcome": "fail", "max_amplitude_deviation": '
+                        '0.7071067811865475, "fidelity": 0.2499999999999999}'),
+    }
+
+    @pytest.mark.parametrize("test", sorted(_TEST_NAMES))
+    def test_each_family_writes_its_pinned_line(self, files, capsys, test):
+        assert set(self.RUN_LINES) == set(_TEST_NAMES)
+        for program, code, line in zip((files["bell"], files["broken"]), (0, 1),
+                                       self.RUN_LINES[test]):
+            assert run_cli("run", "--program", program, "--expected", files["bell"],
+                           "--test", test, "--shots", "100", "--mc-reps", "100") == code
+            assert capsys.readouterr() == (line + "\n", "")
+
+    def test_parser_warnings_come_before_the_verdicts_own(self, files, tmp_path,
+                                                          capsys):
+        measured = tmp_path / "measured.qasm"
+        measured.write_text(open(files["broken"]).read()
+                            + "creg c[2];\nmeasure q[0] -> c[0];\n")
+        assert run_cli("run", "--program", str(measured), "--expected", files["bell"],
+                       "--test", "chi2", "--shots", "5") == 1
+        assert capsys.readouterr().out == (
+            '{"outcome": "fail", "p_value": 0.0, "warnings": '
+            f'["{measured}: line 6: measurement stripped", '
+            '"fewer than 13 observations; the asymptotic p-value is unreliable"]}\n')
+        # the warnings come last, after every other field
+        assert run_cli("run", "--program", str(measured), "--expected", files["bell"],
+                       "--test", "swap", "--shots", "100") == 1
+        assert capsys.readouterr().out == (
+            '{"outcome": "fail", "first_failure_shot": 3, "fidelity": 0.2499999999999999, '
+            '"failure_probability": 0.37500000000000006, "warnings": '
+            f'["{measured}: line 6: measurement stripped"]}}\n')
 
     def test_only_asymptotic_p_values_warn_of_few_observations(self, tmp_path,
                                                                capsys):

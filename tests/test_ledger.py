@@ -23,20 +23,13 @@ def _result(ops, rss, setup, failed=0, correct=True):
                         "setup_s": {"value": setup, "unit": "s"}}}
 
 
-def _runs(tmp_path, rows):
-    """Ledger runs whose results are read back from result files as the
-    benchmark writes them."""
-    runs = []
-    for workload, seed, side, result in rows:
-        path = tmp_path / f"{side}-{seed}" / f"result-{workload}-s{seed}-t0.json"
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        runs.append({"workload": workload, "seed": seed, "side": side,
-                     "result": json.loads(path.read_text())})
-    return runs
+def _runs(rows):
+    """Ledger runs holding the given result lines."""
+    return [{"workload": workload, "seed": seed, "side": side, "result": result}
+            for workload, seed, side, result in rows]
 
 
-def test_summary_has_medians_quartiles_and_wins(tmp_path):
+def test_summary_has_medians_quartiles_and_wins():
     parent_ops, change_ops = [100, 110, 120, 130, 140], [150, 105, 160, 170, 180]
     rows = []
     for seed, (p, c) in enumerate(zip(parent_ops, change_ops)):
@@ -45,7 +38,7 @@ def test_summary_has_medians_quartiles_and_wins(tmp_path):
                      _result(c, 125.0, 0.04, failed=seed == 0, correct=seed != 1)))
     rows.append(("desk-bench", 7, "parent", _result(50, 140.0, 0.03)))
     rows.append(("desk-bench", 7, "change", None))  # the run wrote no result
-    summary = ledger.summarize(_runs(tmp_path, rows), END_TO_END)
+    summary = ledger.summarize(_runs(rows), END_TO_END)
 
     verdict = summary["verdict-1e7"]
     assert verdict["pairs"] == 5
@@ -62,21 +55,10 @@ def test_summary_has_medians_quartiles_and_wins(tmp_path):
         "change": {"incorrect_runs": 0, "failed_share": 0.0}}
 
 
-@pytest.mark.parametrize("runs", [[], [{"seed": 1, "result": None},
-                                       {"seed": 2, "result": {"raw": {"rounds": [{"ops": 3}]}}}]])
-def test_dump_reads_back_as_written(runs):
-    ledger_ = {"commits": {"parent": "a", "change": "b"}, "summary": {"w": {"pairs": 0}},
-               "runs": runs}
-    text = ledger.dump(ledger_)
-    assert json.loads(text) == ledger_
-    lines = [line.rstrip(",") for line in text.splitlines()]
-    assert all("    " + json.dumps(run) in lines for run in runs)
-
-
-def test_one_pair_reads_its_own_values_as_quartiles(tmp_path):
+def test_one_pair_reads_its_own_values_as_quartiles():
     rows = [("shot-planning", 3, "parent", _result(10, 100.0, 0.05)),
             ("shot-planning", 3, "change", _result(10, 90.0, 0.06))]
-    entry = ledger.summarize(_runs(tmp_path, rows), END_TO_END)["shot-planning"]
+    entry = ledger.summarize(_runs(rows), END_TO_END)["shot-planning"]
     assert entry["change"]["peak_rss_mb"] == {"median": 90.0, "q1": 90.0, "q3": 90.0}
     assert entry["change_wins"] == {"ops_per_s": 0, "peak_rss_mb": 1, "setup_s": 0}
 
@@ -88,12 +70,17 @@ p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     p.add_argument(flag)
 a = p.parse_args()
+if a.workload == "unknown":
+    print("error: unknown workload", file=sys.stderr)
+    sys.exit(2)
 out = Path("qutbench/out")
 fresh = not out.exists()
 out.mkdir(parents=True, exist_ok=True)
-(out / f"result-{a.workload}-s{a.seed}-t{a.trace}.json").write_text(json.dumps(
-    {"seconds": a.seconds, "fresh": fresh, "no_bytecode": os.environ["PYTHONDONTWRITEBYTECODE"]}))
+(out / "result.json").write_text(json.dumps({"raw": {"rounds": [1, 2, 3]}}))
 print("check failed: canned", file=sys.stderr)
+print("a line before the result line")
+print(json.dumps({"seconds": a.seconds, "trace": a.trace, "fresh": fresh,
+                  "no_bytecode": os.environ["PYTHONDONTWRITEBYTECODE"]}))
 sys.exit(1)
 """
 
@@ -109,4 +96,9 @@ def test_run_side_unpacks_runs_and_copies_the_result(tmp_path):
         run = ledger.run_side(buffer.getvalue(), root, [sys.executable, "qutbench/run.py"],
                               "verdict-1e7", 5, 15)
         assert run == {"exit": 1, "stderr": "check failed: canned\n",
-                       "result": {"seconds": "15", "fresh": True, "no_bytecode": "1"}}
+                       "result": {"seconds": "15", "trace": "0", "fresh": True,
+                                  "no_bytecode": "1"}}
+    # a run that printed no result line, as the benchmark does when it refuses
+    run = ledger.run_side(buffer.getvalue(), tmp_path / "c",
+                          [sys.executable, "qutbench/run.py"], "unknown", 5, 15)
+    assert run == {"exit": 2, "stderr": "error: unknown workload\n", "result": None}

@@ -337,6 +337,17 @@ class TestMonteCarlo:
             patch.setattr(testing, "_ENUM_CHUNK", rows * len(weights))
             assert statistical_p_value(counts, probs, kind, mc_reps, [seed, 7]) == expected
 
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    @pytest.mark.parametrize("mc_reps", [0, -1])
+    def test_no_draws_is_rejected(self, kind, mc_reps):
+        # before the support rule: an out-of-support count needs no draw either
+        for counts, probs in (([3, 2], [0.5, 0.5]), ([1, 1], [1.0, 0.0])):
+            with pytest.raises(ValueError, match="mc_reps must be >= 1"):
+                statistical_p_value(np.array(counts), np.array(probs), kind, mc_reps)
+        # the asymptotic and exact kinds draw nothing and ignore mc_reps
+        assert statistical_p_value(np.array([3, 2]), np.array([0.5, 0.5]), "chi2",
+                                   mc_reps) == pytest.approx(0.6547208460185768)
+
     def test_correct_program_mostly_passes(self):
         passes = sum(
             statistical_test(EMPTY_1Q, H_CIRCUIT, H_CIRCUIT, 500, 0.05,

@@ -9,9 +9,10 @@ For every workload and seed, the benchmark command of `BENCHMARK.json` runs
 once on each commit for `run_seconds` seconds, untraced.  Each run gets a
 fresh `git archive` copy of its commit and runs without bytecode, so no run
 reads what another wrote.  The pairs alternate which side runs first.  The
-ledger keeps each run's `qutbench/out/result-*.json` as written, the machine,
-and per workload and side the median and quartiles of every end-to-end
-metric, with the number of pairs in which the change reads better.
+ledger keeps each run's result line, the last line the benchmark prints
+(`{correct, attempted, failed, metrics}`), the machine, and per workload and
+side the median and quartiles of every end-to-end metric, with the number of
+pairs in which the change reads better.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def git(*args: str) -> bytes:
 def run_side(archive: bytes, root: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
     """Unpack `archive` into the new directory `root`, run the benchmark
-    there, and return its exit code and the result file it wrote (None if
-    it wrote none)."""
+    there, and return its exit code and its result line (None if it printed
+    none)."""
     root.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(root, filter="data")
@@ -51,10 +52,10 @@ def run_side(archive: bytes, root: Path, command: list[str], workload: str, seed
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
         cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    path = root / "qutbench" / "out" / f"result-{workload}-s{seed}-t0.json"
+        capture_output=True, text=True)
+    lines = done.stdout.splitlines()
     return {"exit": done.returncode, "stderr": done.stderr[-2000:],
-            "result": json.loads(path.read_text()) if path.is_file() else None}
+            "result": json.loads(lines[-1]) if lines else None}
 
 
 def _spread(values: list[float]) -> dict:
@@ -97,14 +98,6 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def dump(ledger: dict) -> str:
-    """The ledger as JSON, indented but with each run on one line: a run
-    keeps every round its result file lists."""
-    head = json.dumps({k: v for k, v in ledger.items() if k != "runs"}, indent=2)
-    runs = ",\n".join("    " + json.dumps(run) for run in ledger["runs"])
-    return f'{head[:-2]},\n  "runs": [\n{runs}\n  ]\n}}\n'
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit measured as the base")
@@ -137,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"ops_per_s {ops.get('value')}", file=sys.stderr)
     ledger = {"commits": commits, "run_seconds": bench["run_seconds"], "machine": machine,
               "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
-    Path(args.out).write_text(dump(ledger))
+    Path(args.out).write_text(json.dumps(ledger, indent=2) + "\n")
     return 0 if all(run["exit"] == 0 for run in runs) else 1
 
 
