@@ -13,8 +13,9 @@ it:
 - `sample_from_probs`: a realized sequence of basis indices by inverse-CDF,
   for callers that read its prefixes (the bench's min-shot search).
 
-Outcomes below PROB_FLOOR are never drawn: `_support` is that rule, and
-`testing.statistical_p_value` and the bench's min-shot search read it too.
+Outcomes below PROB_FLOOR are never drawn: `_support` is that rule for
+every sampler here, and `testing.statistical_p_value` and the bench's
+min-shot search read it too.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def marginal_sample(c: Circuit, qubit: int, shots: int, seed: int) -> np.ndarray
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p1 = marginal_probability_one(run_statevector(c), qubit)
-    if p1 < PROB_FLOOR:
+    if not _support(p1):
         p1 = 0.0
     rng = np.random.default_rng(seed)
     return (rng.random(shots) < p1).astype(np.int64)
