@@ -138,21 +138,30 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
     the (2^k, -1) block whose rows its targets index (most significant
     first).  When those targets already lead the axis order, as along a
     multiplexor whose rotations share one target, the block is a reshape of
-    the state; otherwise the targets are transposed to the front, which
-    copies once, and the new axis order is recorded instead of moving axes
-    back.  The two paths agree exactly: each entry of a product with a 0/1
-    matrix is one amplitude times 1 plus exact zeros.  One transpose
-    restores the canonical order at the end.  Targets are assumed in range,
-    as a `Circuit` checks, and parameter counts as a `GateApplication` does.
+    the state; otherwise the targets are transposed to the front and copied
+    once to contiguous memory, and the new axis order is recorded instead of
+    moving axes back.  A gate whose matrix is real (`gates.REAL`: h, z, ry,
+    cz, cry) multiplies the block's float view, real and imaginary parts
+    interleaved, by the matrix's real part: a real product with the complex
+    one's bits, except that a real part that is exactly zero may read +0.0
+    where the complex product gave -0.0.  A gate on the whole register
+    (k == n) keeps the complex product, whose one-column block numpy
+    multiplies as a matrix-vector product with other roundings.  The paths
+    agree: each entry of a product with a 0/1 matrix is one amplitude times
+    1 plus exact zeros, and the real product sums the complex one's terms
+    less the exact zeros of the imaginary part.  One transpose restores the
+    canonical order at the end.  Targets are assumed in range, as a
+    `Circuit` checks, and parameter counts as a `GateApplication` does.
     """
     n = amplitudes.size.bit_length() - 1
     shape = (2,) * n
     psi = amplitudes.reshape(shape).copy()
     order = tuple(range(n - 1, -1, -1))
     exchanges: dict[tuple, tuple] = {}  # by (kind, targets), for this order
+    EXCHANGES, CATALOG, REAL, CUSTOM = gates.EXCHANGES, gates.CATALOG, gates.REAL, gates.CUSTOM
     for g in gs:
         kind, targets = g.kind, g.targets
-        if kind in gates.EXCHANGES:
+        if kind in EXCHANGES:
             exchange = exchanges.get((kind, targets))
             if exchange is None:
                 exchange = exchanges[kind, targets] = _merged_exchange(
@@ -166,16 +175,19 @@ def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
                 b[...] = held
             continue
         k = len(targets)
-        m = g.matrix if kind == gates.CUSTOM else gates.CATALOG[kind].matrix_fn(*g.params)
-        if order[:k] == targets[::-1]:
-            psi = (m @ psi.reshape(1 << k, -1)).reshape(shape)
-            continue
-        front = [order.index(q) for q in reversed(targets)]
-        perm = front + [a for a in range(n) if a not in front]
-        block = psi.transpose(perm).reshape(1 << k, -1)
-        psi = (m @ block).reshape(shape)
-        order = tuple([order[a] for a in perm])
-        exchanges = {}
+        m = g.matrix if kind == CUSTOM else CATALOG[kind].matrix_fn(*g.params)
+        if order[0] == targets[0] if k == 1 else order[:k] == targets[::-1]:
+            block = psi.reshape(1 << k, -1)
+        else:
+            front = [order.index(q) for q in reversed(targets)]
+            perm = front + [a for a in range(n) if a not in front]
+            block = np.ascontiguousarray(psi.transpose(perm)).reshape(1 << k, -1)
+            order = tuple([order[a] for a in perm])
+            exchanges = {}
+        if kind in REAL and k < n:
+            psi = (m.real @ block.view(float)).view(complex).reshape(shape)
+        else:
+            psi = (m @ block).reshape(shape)
     return psi.transpose([order.index(q) for q in range(n - 1, -1, -1)]).reshape(-1)
 
 

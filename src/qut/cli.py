@@ -122,6 +122,10 @@ def _cmd_mutate(args) -> int:
     unknown = set(operators) - {"qgr", "qgd", "qgi", "rgi"}
     if unknown:
         raise CliIoError(f"unknown operators: {sorted(unknown)}")
+    if not operators:
+        raise ValueError("operators must name at least one of qgr, qgd, qgi, rgi")
+    if len(set(operators)) < len(operators):
+        raise ValueError(f"operators repeat a name: {operators}")
     records = []
     for op in operators:
         if op == "qgr":
@@ -137,19 +141,22 @@ def _cmd_mutate(args) -> int:
         records = mutation.sample_mutants(records, args.fraction, args.seed)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
-    for i, rec in enumerate(records):
-        fname = f"mutant_{i:05d}.json"
-        (out_dir / fname).write_text(emit_json(rec.circuit))
-        manifest_lines.append(json.dumps({
-            "operator": rec.operator,
-            "site": rec.site,
-            "replacement": rec.replacement,
-            "fidelity": rec.fidelity_to_original,
-            "path": fname,
-        }))
-    (out_dir / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, rec in enumerate(records):
+            fname = f"mutant_{i:05d}.json"
+            (out_dir / fname).write_text(emit_json(rec.circuit))
+            manifest_lines.append(json.dumps({
+                "operator": rec.operator,
+                "site": rec.site,
+                "replacement": rec.replacement,
+                "fidelity": rec.fidelity_to_original,
+                "path": fname,
+            }))
+        (out_dir / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n")
+    except OSError as exc:
+        raise CliIoError(f"cannot write {out_dir}: {exc.strerror or exc}")
     print(f"wrote {len(records)} mutants to {out_dir}")
     return EXIT_PASS
 
@@ -167,8 +174,17 @@ def _cmd_bench(args) -> int:
         pairs = bench.load_corpus(config.corpus)
     except (OSError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CliIoError(f"cannot load corpus: {exc}")
+    out = Path(args.out)
+    # checked before any pair runs, so that no run is thrown away at the end
+    if out.is_dir():
+        raise CliIoError(f"cannot write {out}: is a directory")
+    if not out.parent.is_dir():
+        raise CliIoError(f"cannot write {out}: {out.parent} is not a directory")
     rows = bench.run_benchmark(pairs, config)
-    Path(args.out).write_text(bench.rows_to_csv(rows))
+    try:
+        out.write_text(bench.rows_to_csv(rows))
+    except OSError as exc:
+        raise CliIoError(f"cannot write {out}: {exc.strerror or exc}")
     metrics = bench.compute_metrics(rows)
     print(json.dumps(metrics, indent=2))
     return EXIT_PASS

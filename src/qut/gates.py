@@ -163,6 +163,20 @@ EXCHANGES: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
+def _real(spec: GateSpec) -> bool:
+    """True when `spec`'s matrix has no imaginary part: at its fixed value,
+    or at two generic parameter values."""
+    points = [(x,) * spec.num_params for x in (0.7, 2.9)] if spec.num_params else [()]
+    return not any(spec.matrix_fn(*p).imag.any() for p in points)
+
+
+# Catalog kinds other than the exchanges whose matrix is real: `circuit.evolve`
+# multiplies the state's float view by the matrix's real part, a real product
+# with the bits of the complex one.
+REAL: frozenset[str] = frozenset(
+    name for name, spec in CATALOG.items() if name not in EXCHANGES and _real(spec))
+
+
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     spec = CATALOG[kind]
     if len(params) != spec.num_params:

@@ -250,6 +250,76 @@ class TestExitCodes:
         assert run_cli("run", "--program", str(bad),
                        "--expected", files["bell"], "--test", "chi2") == 3
 
+    @staticmethod
+    def _bench_config(files, tmp_path) -> str:
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(json.dumps({
+            "pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}) + "\n")
+        from qut.bench import ExperimentConfig
+        config = tmp_path / "cfg.json"
+        config.write_text(ExperimentConfig(corpus=str(manifest), repetitions=1).to_json())
+        return str(config)
+
+    @staticmethod
+    def _assert_one_error_line(capsys, start):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {start}") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("where", ["directory", "missing", "under_a_file"])
+    def test_bench_out_that_cannot_be_written_is_three_before_any_pair(
+            self, files, tmp_path, monkeypatch, capsys, where):
+        # it raised IsADirectoryError, FileNotFoundError or NotADirectoryError,
+        # the first only after every pair had run
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran pairs before checking --out")
+
+        config = self._bench_config(files, tmp_path)
+        out = {"directory": tmp_path / "rows",
+               "missing": tmp_path / "absent" / "rows.csv",
+               "under_a_file": Path(files["bell"]) / "rows.csv"}[where]
+        if where == "directory":
+            out.mkdir()
+        monkeypatch.setattr("qut.bench.run_benchmark", no_run)
+        assert run_cli("bench", "--config", config, "--out", str(out)) == 3
+        self._assert_one_error_line(capsys, f"cannot write {out}: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_bench_out_failing_after_the_run_is_three(self, files, tmp_path, monkeypatch,
+                                                     capsys):
+        config = self._bench_config(files, tmp_path)
+        out = tmp_path / "rows.csv"
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert run_cli("bench", "--config", config, "--out", str(out)) == 3
+        self._assert_one_error_line(capsys, f"cannot write {out}: Permission denied\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+    def test_mutate_out_that_cannot_be_written_is_three(self, files, tmp_path, capsys, where):
+        # it raised FileExistsError or NotADirectoryError
+        out = Path(files["broken"]) / ("mutants" if where == "under_a_file" else "")
+        before = Path(files["broken"]).read_text()
+        assert run_cli("mutate", "--circuit", files["bell"], "--operators", "qgd",
+                       "--out", str(out)) == 3
+        self._assert_one_error_line(capsys, f"cannot write {out}: ")
+        assert Path(files["broken"]).read_text() == before
+        assert not list(tmp_path.rglob("*.json*"))
+
+    @pytest.mark.parametrize("operators", ["qgd,QGD,qgd", "qgr,rgi,qgr", "", " , "])
+    def test_mutate_repeated_or_no_operators_is_two(self, files, tmp_path, capsys, operators):
+        # a repeated operator wrote its mutants once per mention; none wrote
+        # an empty manifest and exited 0
+        out = tmp_path / "mutants"
+        assert run_cli("mutate", "--circuit", files["bell"], "--operators", operators,
+                       "--out", str(out)) == 2
+        self._assert_one_error_line(capsys, "operators ")
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_parse_round_trip(self, files, capsys):
@@ -880,12 +950,13 @@ class TestSubcommandContract:
            other=_circuit_file(["qasm", "json", "state"]),
            emit=st.sampled_from(["qasm", "json"]),
            pe=st.sampled_from(["0.05", "0.5", "0", "1.5", "nan"]),
-           operators=st.sampled_from(["qgr,qgd,qgi,rgi", "qgd", "rgi", "qgx", ""]),
+           operators=st.sampled_from(["qgr,qgd,qgi,rgi", "qgd", "rgi", "qgx", "", "qgd,QGD"]),
            fraction=st.sampled_from(["1.0", "0.5", "0", "-1"]),
            rgi_count=st.sampled_from(["1", "3", "0"]),
-           seed=st.sampled_from(["0", "7", "-1"]))
+           seed=st.sampled_from(["0", "7", "-1"]),
+           out=st.sampled_from(["mutants", "subject"]))
     def test_every_subcommand_ends_in_a_documented_exit_code(
-            self, subject, other, emit, pe, operators, fraction, rgi_count, seed):
+            self, subject, other, emit, pe, operators, fraction, rgi_count, seed, out):
         form, text = subject
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"subject.{form}"
@@ -897,7 +968,7 @@ class TestSubcommandContract:
                 ("estimate-shots", "--program", good, "--expected", str(path), "--pe", pe),
                 ("mutate", "--circuit", str(path), "--operators", operators,
                  "--fraction", fraction, "--rgi-count", rgi_count, "--seed", seed,
-                 "--out", str(Path(tmp) / "mutants")),
+                 "--out", str(path if out == "subject" else Path(tmp) / out)),
             ]
             for argv in runs:
                 code, err = self._run(*argv)

@@ -137,6 +137,17 @@ def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
         "ccx": ((3, 7),), "cswap": ((3, 5),)}
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.7, math.pi, 5.0])
+def test_real_kinds_are_the_non_exchanges_with_real_matrices(theta):
+    # `circuit.evolve` multiplies the state's float view by the real part of
+    # these kinds' matrices, so none may have an imaginary part at any angle
+    assert gates.REAL == {"h", "z", "ry", "cz", "cry"}
+    assert gates.REAL.isdisjoint(gates.EXCHANGES)
+    for name in gates.REAL:
+        spec = gates.CATALOG[name]
+        assert not gates.gate_matrix(name, (theta,) * spec.num_params).imag.any(), name
+
+
 def _controlled_loop(base, num_controls=1):
     """Reference: `gates.controlled` entry by entry."""
     k = base.shape[0]

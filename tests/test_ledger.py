@@ -63,6 +63,45 @@ def test_one_pair_reads_its_own_values_as_quartiles():
     assert entry["change_wins"] == {"ops_per_s": 0, "peak_rss_mb": 1, "setup_s": 0}
 
 
+def _paired(parent_ops, change_ops, parent_rss=100.0, change_rss=100.0):
+    rows = []
+    for seed, (p, c) in enumerate(zip(parent_ops, change_ops)):
+        rows.append(("wide-register", seed, "parent", _result(p, parent_rss, 0.04)))
+        rows.append(("wide-register", seed, "change", _result(c, change_rss, 0.04)))
+    return ledger.summarize(_runs(rows), END_TO_END)["wide-register"]
+
+
+def test_a_tie_meets_no_gain_and_stays_within_bound():
+    entry = _paired([30.0] * 10, [30.0] * 10)
+    assert entry["change_wins"] == {"ops_per_s": 0, "peak_rss_mb": 0, "setup_s": 0}
+    assert entry["gain_met"] == {"ops_per_s": False, "peak_rss_mb": False, "setup_s": False}
+    assert entry["within_bound"] == {"ops_per_s": True, "peak_rss_mb": True, "setup_s": True}
+
+
+def test_a_gain_needs_nine_of_ten_pairs_and_a_median_past_the_parents_spread():
+    parent = [30.0 + i for i in range(10)]  # quartiles 32.25 and 36.75
+    # 10/10 pairs, but a gain of 4 inside the parent's spread of 4.5
+    assert not _paired(parent, [p + 4 for p in parent])["gain_met"]["ops_per_s"]
+    # 10/10 pairs and a gain of 5 past it
+    assert _paired(parent, [p + 5 for p in parent])["gain_met"]["ops_per_s"]
+    # 9/10 pairs is enough, 8/10 is not
+    nine = [p + 10 for p in parent[:9]] + [parent[9] - 1]
+    assert _paired(parent, nine)["change_wins"]["ops_per_s"] == 9
+    assert _paired(parent, nine)["gain_met"]["ops_per_s"]
+    eight = [p + 10 for p in parent[:8]] + [parent[8], parent[9] - 1]
+    assert _paired(parent, eight)["change_wins"]["ops_per_s"] == 8
+    assert not _paired(parent, eight)["gain_met"]["ops_per_s"]
+
+
+def test_a_loss_inside_the_bound_is_within_it_and_one_past_it_is_not():
+    # ops_per_s may lose 25%, peak_rss_mb 15% (BENCHMARK.json)
+    inside = _paired([40.0] * 10, [30.5] * 10, 100.0, 114.0)
+    assert inside["within_bound"] == {"ops_per_s": True, "peak_rss_mb": True, "setup_s": True}
+    assert inside["gain_met"] == {"ops_per_s": False, "peak_rss_mb": False, "setup_s": False}
+    past = _paired([40.0] * 10, [29.5] * 10, 100.0, 116.0)
+    assert past["within_bound"] == {"ops_per_s": False, "peak_rss_mb": False, "setup_s": True}
+
+
 FAKE_RUN = """
 import argparse, json, os, sys
 from pathlib import Path

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from qut import gates
@@ -120,6 +121,63 @@ class TestKernelBitIdentity:
                     gs += [custom(g.targets), custom(g.targets), custom(g.targets[-1:])]
             c = Circuit(n, tuple(gs))
             assert np.array_equal(run_statevector(c).amplitudes, _moveaxis_oracle(c)), i
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_gate_on_the_whole_register_matches_the_moveaxis_path(self, n):
+        # k == n keeps the complex product: the block is one column, and the
+        # float view's two columns would round as a matrix product instead
+        rng = np.random.default_rng(2026)
+        for kind in sorted(gates.REAL):
+            spec = gates.CATALOG[kind]
+            if spec.arity != n:
+                continue
+            for i in range(30):
+                z = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+                targets = tuple(int(q) for q in rng.permutation(n))
+                params = tuple(rng.uniform(0, 2 * np.pi, spec.num_params))
+                c = Circuit(n, (GateApplication("unitary", tuple(range(n)),
+                                                matrix=nearest_unitary(z)),
+                                GateApplication(kind, targets, params)))
+                assert run_statevector(c).amplitudes.tobytes() == \
+                    _moveaxis_oracle(c).tobytes(), (kind, i)
+
+
+def _float_view_product(m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The real path of `circuit.evolve`: a real matrix times the float view
+    of a complex block, read back as complex."""
+    return (m.real @ block.view(float)).view(complex)
+
+
+class TestRealProduct:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(sorted(gates.REAL)), log_columns=st.integers(1, 16),
+           theta=st.floats(-10, 10), seed=st.integers(0, 2**32 - 1))
+    def test_float_view_keeps_every_bit_of_the_complex_product(self, kind, log_columns,
+                                                               theta, seed):
+        spec = gates.CATALOG[kind]
+        m = gates.gate_matrix(kind, (theta,) * spec.num_params)
+        rng = np.random.default_rng(seed)
+        shape = (len(m), 1 << log_columns)
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _float_view_product(m, block).tobytes() == (m @ block).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(gates.REAL)), log_columns=st.integers(1, 10),
+           zero_share=st.sampled_from([0.3, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_exact_zeros_differ_at_most_in_the_sign_of_a_real_part(self, kind, log_columns,
+                                                                   zero_share, seed):
+        # the complex product may give -0.0 in a real part where the real
+        # product gives +0.0; every value and every imaginary bit agree
+        spec = gates.CATALOG[kind]
+        rng = np.random.default_rng(seed)
+        m = gates.gate_matrix(kind, tuple(rng.uniform(-7, 7, spec.num_params)))
+        floats = rng.normal(size=(len(m), 2 << log_columns))
+        zeros = rng.random(floats.shape) < zero_share
+        floats[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        block = floats.view(complex)
+        real, full = _float_view_product(m, block), m @ block
+        assert np.array_equal(real, full)
+        assert real.imag.tobytes() == full.imag.tobytes()
 
 
 # SHA-256 of the amplitude bytes `run_statevector` gives, recorded from the

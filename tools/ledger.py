@@ -12,7 +12,8 @@ reads what another wrote.  The pairs alternate which side runs first.  The
 ledger keeps each run's result line, the last line the benchmark prints
 (`{correct, attempted, failed, metrics}`), the machine, and per workload and
 side the median and quartiles of every end-to-end metric, with the number of
-pairs in which the change reads better.
+pairs in which the change reads better and the answers of the acceptance rule:
+`gain_met` and `within_bound` per metric.
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ def _spread(values: list[float]) -> dict:
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: each side's runs, failures and the median and quartiles
     of every end-to-end metric; per metric, the pairs the change wins (ties
-    count for neither side) and the ratio of the change's median to the
-    parent's."""
+    count for neither side), the ratio of the change's median to the
+    parent's, whether a claimed gain would be met (the change wins at least
+    9 of 10 pairs and its median beats the parent's by more than the
+    parent's quartile spread), and whether the change's median is within
+    the metric's relative bound of the parent's."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = {}
@@ -89,11 +93,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             }
         for m in end_to_end if complete else ():
             name, sign = m["name"], 1 if m["better"] == "higher" else -1
-            entry.setdefault("change_wins", {})[name] = sum(
-                sign * (p["change"]["metrics"][name]["value"]
-                        - p["parent"]["metrics"][name]["value"]) > 0 for p in complete)
-            entry.setdefault("median_ratio", {})[name] = (
-                entry["change"][name]["median"] / entry["parent"][name]["median"])
+            parent, change = entry["parent"][name], entry["change"][name]
+            wins = sum(sign * (p["change"]["metrics"][name]["value"]
+                               - p["parent"]["metrics"][name]["value"]) > 0 for p in complete)
+            gain = sign * (change["median"] - parent["median"])
+            entry.setdefault("change_wins", {})[name] = wins
+            entry.setdefault("median_ratio", {})[name] = change["median"] / parent["median"]
+            entry.setdefault("gain_met", {})[name] = (
+                10 * wins >= 9 * len(complete) and gain > parent["q3"] - parent["q1"])
+            entry.setdefault("within_bound", {})[name] = (
+                gain >= -m["bound"] * abs(parent["median"]))
         summary[workload] = entry
     return summary
 
