@@ -172,7 +172,7 @@ def _real(spec: GateSpec) -> bool:
 
 # Catalog kinds other than the exchanges whose matrix is real: `circuit.evolve`
 # multiplies the state's float view by the matrix's real part, a real product
-# with the bits of the complex one.
+# with the complex one's bits but for the sign of a zero real part.
 REAL: frozenset[str] = frozenset(
     name for name, spec in CATALOG.items() if name not in EXCHANGES and _real(spec))
 
