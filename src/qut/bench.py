@@ -25,20 +25,17 @@ import numpy as np
 from .circuit import Circuit
 from .jsonio import load_circuit
 from .shots import EquivalentStatesError, plan_shots
-from .simulator import _support, run_statevector, sample_from_probs
+from .simulator import _support, first_failing_shot, run_statevector, sample_from_probs
 from .testing import (
-    MC_KINDS,
+    _ENUM_CHUNK,
+    ALL_TESTS,
     MC_SEED_TAG,
-    STAT_KINDS,
     MultinomialIntractableError,
-    first_failure_under_law,
+    failure_probability,
     gof_statistic,
     statevector_verdict,
     statistical_p_value,
 )
-
-SAMPLED_TESTS = STAT_KINDS + MC_KINDS + ("swap", "inverse")
-ALL_TESTS = SAMPLED_TESTS + ("statevector",)
 
 
 def mix_seed(base_seed: int, pair_id: str, test: str, repetition: int) -> int:
@@ -56,10 +53,9 @@ def dense_rank(values: Sequence[int | None]) -> list[int]:
     return [rank_of[v] if v is not None else last for v in values]
 
 
-# A scan block holds at most this many (prefix, outcome) counts, so the
-# search's memory is O(block x K) whatever the cap; the first block has
-# _FIRST_BLOCK_ROWS prefixes and each later one twice as many.
-_SCAN_BLOCK_ELEMENTS = 1 << 18
+# A scan block holds at most `testing._ENUM_CHUNK` (prefix, outcome) counts,
+# so the search's memory is O(block x K) whatever the cap; the first block
+# has _FIRST_BLOCK_ROWS prefixes and each later one twice as many.
 _FIRST_BLOCK_ROWS = 256
 
 
@@ -104,7 +100,7 @@ def min_shots_statistical(
     carried = np.zeros(k)
     start, rows = 0, _FIRST_BLOCK_ROWS
     while k >= 2 and start < horizon:
-        stop = min(horizon, start + min(rows, max(1, _SCAN_BLOCK_ELEMENTS // k)))
+        stop = min(horizon, start + min(rows, max(1, _ENUM_CHUNK // k)))
         one_hot = np.zeros((stop - start, k))
         one_hot[np.arange(stop - start), cats[start:stop]] = 1.0
         # integer counts held exactly in floats: the same values as one
@@ -279,7 +275,8 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
             seed = mix_seed(config.base_seed, pair.pair_id, test, rep)
             start = time.perf_counter()
             if test in ("swap", "inverse"):
-                found = first_failure_under_law(test, estimate.sigma11, cap, seed)
+                found = first_failing_shot(failure_probability(test, estimate.sigma11),
+                                           cap, seed)
             else:
                 values = sample_from_probs(mutant_probs, cap, seed)
                 try:

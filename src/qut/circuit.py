@@ -51,8 +51,8 @@ class GateApplication:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (1 << len(targets), 1 << len(targets)):
             raise ValueError("custom matrix shape does not match target count")
-        if not gates.is_unitary(m):
-            raise ValueError("custom matrix is not unitary within 1e-10")
+        if not gates.unitarity_defect(m) <= gates.UNITARY_ATOL:  # nan too
+            raise ValueError(f"custom matrix is not unitary within {gates.UNITARY_ATOL}")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -60,7 +60,7 @@ class GateApplication:
     def unitary(self) -> np.ndarray:
         if self.kind == gates.CUSTOM:
             return self.matrix
-        return gates.gate_matrix(self.kind, self.params)
+        return gates.CATALOG[self.kind].matrix_fn(*self.params)
 
     def inverse(self) -> "GateApplication":
         if self.kind == gates.CUSTOM:
@@ -70,11 +70,6 @@ class GateApplication:
         spec = gates.CATALOG[self.kind]
         params = tuple(s * p for s, p in zip(spec.param_signs, self.params))
         return GateApplication(spec.inverse_name, self.targets, params)
-
-    def shifted(self, offset: int) -> "GateApplication":
-        return GateApplication(
-            self.kind, tuple(q + offset for q in self.targets), self.params, self.matrix
-        )
 
     def structural_key(self):
         mat = None
@@ -113,12 +108,6 @@ class Circuit:
 
     def structurally_equal(self, other: "Circuit") -> bool:
         return self.structural_key() == other.structural_key()
-
-
-def apply_gate(state: StateVector, gate: GateApplication) -> StateVector:
-    """Evolve `state` by one gate."""
-    c = Circuit(state.num_qubits, (gate,))
-    return StateVector(c.num_qubits, evolve(state.amplitudes, c.gates))
 
 
 def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
@@ -248,8 +237,8 @@ def build_swap_harness(prep_a: Circuit, prep_e: Circuit) -> Circuit:
     if prep_a.num_qubits != prep_e.num_qubits:
         raise ValueError("swap harness requires equal qubit counts")
     n = prep_a.num_qubits
-    body = [g.shifted(1) for g in prep_a.gates]
-    body += [g.shifted(1 + n) for g in prep_e.gates]
+    body = [GateApplication(g.kind, [q + offset for q in g.targets], g.params, g.matrix)
+            for offset, prep in ((1, prep_a), (1 + n, prep_e)) for g in prep.gates]
     body.append(GateApplication("h", (0,)))
     body += [GateApplication("cswap", (0, i, n + i)) for i in range(1, n + 1)]
     body.append(GateApplication("h", (0,)))

@@ -24,6 +24,7 @@ from .circuit import Circuit
 from .jsonio import CircuitJsonError, emit_json, load_circuit
 from .qasm import ParseDiagnostic, QasmError, emit_qasm
 from .testing import (
+    ALL_TESTS,
     DEFAULT_TOLERANCE,
     ExpectedSpec,
     inverse_test,
@@ -37,17 +38,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_TEST_NAMES = {
-    "chi2": "chi2",
-    "g": "g_test",
-    "multinomial": "multinomial",
-    "mc-chi2": "mc_chi2",
-    "mc-g": "mc_g",
-    "mc-multinomial": "mc_multinomial",
-    "swap": "swap",
-    "statevector": "statevector",
-    "inverse": "inverse",
-}
+# `--test` spellings: g_test is g, and underscores are hyphens
+_TEST_NAMES = {t.removesuffix("_test").replace("_", "-"): t for t in ALL_TESTS}
 
 
 class CliIoError(Exception):
@@ -117,15 +109,15 @@ def _cmd_mutate(args) -> int:
 
     if not 0.0 < args.fraction <= 1.0:  # nan too: checked before any work
         raise ValueError("fraction must lie in (0, 1]")
-    circuit = _load_circuit(args.circuit)
     operators = [op.strip().lower() for op in args.operators.split(",") if op.strip()]
     unknown = set(operators) - {"qgr", "qgd", "qgi", "rgi"}
     if unknown:
-        raise CliIoError(f"unknown operators: {sorted(unknown)}")
+        raise ValueError(f"unknown operators: {sorted(unknown)}")
     if not operators:
         raise ValueError("operators must name at least one of qgr, qgd, qgi, rgi")
     if len(set(operators)) < len(operators):
         raise ValueError(f"operators repeat a name: {operators}")
+    circuit = _load_circuit(args.circuit)
     records = []
     for op in operators:
         if op == "qgr":

@@ -93,15 +93,11 @@ def check_same_width(a: StateVector, b: StateVector) -> None:
         )
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_i conj(a_i) b_i."""
-    check_same_width(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, clamped to [0, 1] against rounding."""
-    overlap = abs(inner_product(a, b)) ** 2
+    """|<a|b>|^2, with <a|b> = sum_i conj(a_i) b_i, clamped to [0, 1]
+    against rounding."""
+    check_same_width(a, b)
+    overlap = abs(complex(np.vdot(a.amplitudes, b.amplitudes))) ** 2
     return min(max(overlap, 0.0), 1.0)
 
 

@@ -177,23 +177,10 @@ REAL: frozenset[str] = frozenset(
     name for name, spec in CATALOG.items() if name not in EXCHANGES and _real(spec))
 
 
-def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    spec = CATALOG[kind]
-    if len(params) != spec.num_params:
-        raise ValueError(
-            f"gate '{kind}' takes {spec.num_params} parameter(s), got {len(params)}"
-        )
-    return spec.matrix_fn(*params)
+# A matrix is unitary when its `unitarity_defect` is at most this.
+UNITARY_ATOL = 1e-10
 
 
 def unitarity_defect(m: np.ndarray) -> float:
     """max |U^dagger U - I| over the entries of a square matrix."""
     return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
-
-def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """True iff `matrix` is square with `unitarity_defect` at most `atol`."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return unitarity_defect(m) <= atol

@@ -51,7 +51,7 @@ def _matrix_from_json(raw, num_targets: int) -> np.ndarray:
         raise CircuitJsonError(
             f"matrix unitarity defect {defect:.3g} exceeds {REUNITARIZE_MAX_DEFECT}"
         )
-    if defect > 1e-10:
+    if defect > gates.UNITARY_ATOL:
         m = nearest_unitary(m)
     return m
 

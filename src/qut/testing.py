@@ -10,9 +10,10 @@ min-shot scan decides every prefix with the same p-value.  Their support,
 the outcomes that can occur, is `simulator`'s floor, and every Monte Carlo
 seed sequence ends in `MC_SEED_TAG`.  The swap and inverse tests sample
 their per-shot outcome law, a function of the fidelity F = |<psi_E|psi_A>|^2
-alone (`first_failure_under_law`); the harness circuits that realize those
-laws on hardware are built by `circuit.build_swap_harness` and
-`circuit.build_inverse_harness`.
+alone (`first_failing_shot(failure_probability(test, F), ...)`); the
+harness circuits that realize those laws on hardware are built by
+`circuit.build_swap_harness` and `circuit.build_inverse_harness`.
+`ALL_TESTS` names every test; the bench and the CLI read it.
 
 `statevector_verdict(actual, expected).passed` at its defaults is the one
 "same state?" predicate: the mutant filter, the shot planner, the bench and
@@ -40,6 +41,7 @@ from .simulator import (
 
 STAT_KINDS = ("chi2", "g_test", "multinomial")
 MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
+ALL_TESTS = STAT_KINDS + MC_KINDS + ("swap", "inverse", "statevector")
 
 PEARSON_MIN_SHOTS = 13
 DEFAULT_TOLERANCE = 1e-10
@@ -246,16 +248,6 @@ def failure_probability(test: str, f: float) -> float:
     raise ValueError(f"no per-shot law for test '{test}'")
 
 
-def first_failure_under_law(test: str, f: float, shots: int, seed: int) -> int | None:
-    """First failing shot of the swap or inverse test at fidelity F, or None.
-
-    Shots fail independently with probability q = `failure_probability`, so
-    the first failure is one seeded Geometric(q) draw (`first_failing_shot`),
-    None when it lies past `shots`; nothing is drawn when q is 0.
-    """
-    return first_failing_shot(failure_probability(test, f), shots, seed)
-
-
 def _law_verdict(
     test: str, w: Circuit, u: Circuit, expected: ExpectedSpec, shots: int, seed: int
 ) -> TestVerdict:
@@ -264,9 +256,10 @@ def _law_verdict(
     f = same.fidelity
     if same.passed:
         return TestVerdict("pass", fidelity=f, failure_probability=0.0)
-    first = first_failure_under_law(test, f, shots, seed)
+    q = failure_probability(test, f)
+    first = first_failing_shot(q, shots, seed)
     return TestVerdict("pass" if first is None else "fail", first_failure_shot=first,
-                       fidelity=f, failure_probability=failure_probability(test, f))
+                       fidelity=f, failure_probability=q)
 
 
 def swap_test(

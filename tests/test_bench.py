@@ -12,11 +12,12 @@ from scipy import stats
 from qut import bench, mutation, simulator
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.qasm import emit_qasm
-from qut.simulator import run_statevector, sample_from_probs
+from qut.simulator import first_failing_shot, run_statevector, sample_from_probs
 from qut.testing import (
+    ALL_TESTS,
     MC_KINDS,
     STAT_KINDS,
-    first_failure_under_law,
+    failure_probability,
     inverse_test,
     statistical_p_value,
     swap_test,
@@ -61,16 +62,16 @@ class TestFirstFailureShot:
         # one Geometric(q) draw: q = 1 - F for inverse and (1 - F)/2 for swap;
         # at F = 0 every inverse shot fails and a swap shot half the time
         for seed in range(20):
-            assert first_failure_under_law("inverse", 0.0, 10, seed) == 1
+            assert first_failing_shot(failure_probability("inverse", 0.0), 10, seed) == 1
             for test, f, q in (("swap", 0.0, 0.5), ("inverse", 0.75, 0.25),
                                ("swap", 0.75, 0.125)):
                 k = np.random.default_rng(seed).geometric(q)
-                assert first_failure_under_law(test, f, 20, seed) == (
-                    k if k <= 20 else None), (test, f, seed)
+                assert failure_probability(test, f) == q
+                assert first_failing_shot(q, 20, seed) == (k if k <= 20 else None), (q, seed)
 
     def test_all_zeros(self):
         for test in ("swap", "inverse"):
-            assert first_failure_under_law(test, 1.0, 10 ** 5, seed=0) is None
+            assert first_failing_shot(failure_probability(test, 1.0), 10 ** 5, seed=0) is None
 
 
 def _ry_layer_probs(angles):
@@ -154,7 +155,7 @@ class TestMinShots:
         # 6 qubits, 64 outcomes: with 16 rows per block every block is
         # capped by its element count, and the counts carry across up to
         # 125 blocks
-        monkeypatch.setattr(bench, "_SCAN_BLOCK_ELEMENTS", 64 * 16)
+        monkeypatch.setattr(bench, "_ENUM_CHUNK", 64 * 16)
 
         def layer(angle):
             return _ry_layer_probs([angle + 0.05 * q for q in range(6)])
@@ -273,7 +274,7 @@ class TestMinShots:
             position = (cap if crossing is None else crossing) - 1 + outside
             vals[min(max(position, 0), len(vals) - 1)] = np.flatnonzero(probs == 0)[0]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bench, "_SCAN_BLOCK_ELEMENTS", block_elements)
+            patch.setattr(bench, "_ENUM_CHUNK", block_elements)
             patch.setattr(bench, "_FIRST_BLOCK_ROWS", first_rows)
             fast = bench.min_shots_statistical(vals, probs, kind, p_t, cap,
                                                seed=seed, mc_reps=30)
@@ -419,7 +420,7 @@ class TestRunBenchmark:
             if name.startswith("qut") and getattr(module, "run_statevector", None) is real:
                 monkeypatch.setattr(module, "run_statevector", counting)
         pairs = bench.load_corpus(small_corpus)
-        cfg = bench.ExperimentConfig(tests=bench.ALL_TESTS, repetitions=2,
+        cfg = bench.ExperimentConfig(tests=ALL_TESTS, repetitions=2,
                                      mc_reps=20)
         rows = bench.run_benchmark(pairs, cfg)
         assert {r.verdict for r in rows} <= {"fail", "not_detected"}
@@ -533,7 +534,7 @@ class TestSeededRepeat:
     @given(circuits=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
                                        st.integers(0, 2**16), st.integers(0, 2**16)),
                              min_size=1, max_size=3),
-           tests=st.lists(st.sampled_from(bench.ALL_TESTS), min_size=1, unique=True),
+           tests=st.lists(st.sampled_from(ALL_TESTS), min_size=1, unique=True),
            repetitions=st.integers(1, 3),
            base_seed=st.integers(0, 2**64 - 1),
            p_t=st.sampled_from([0.05, 0.5]),

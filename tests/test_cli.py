@@ -19,7 +19,7 @@ from qut.cli import _TEST_NAMES, main
 from qut.jsonio import emit_json
 from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import MAX_SHOTS, run_statevector
-from qut.testing import DEFAULT_TOLERANCE, statevector_verdict
+from qut.testing import ALL_TESTS, DEFAULT_TOLERANCE, statevector_verdict
 from test_jsonio import edited_circuit_objects
 from test_qasm import edited_programs, token_programs
 
@@ -310,14 +310,20 @@ class TestExitCodes:
         assert Path(files["broken"]).read_text() == before
         assert not list(tmp_path.rglob("*.json*"))
 
-    @pytest.mark.parametrize("operators", ["qgd,QGD,qgd", "qgr,rgi,qgr", "", " , "])
-    def test_mutate_repeated_or_no_operators_is_two(self, files, tmp_path, capsys, operators):
-        # a repeated operator wrote its mutants once per mention; none wrote
-        # an empty manifest and exited 0
+    @pytest.mark.parametrize("operators", ["qgx", "qgd,qgx", "qgd,QGD,qgd", "qgr,rgi,qgr",
+                                           "", " , "])
+    def test_mutate_unknown_repeated_or_no_operators_is_two(self, files, tmp_path, capsys,
+                                                            operators):
+        # an unknown operator exited 3; a repeated one wrote its mutants once
+        # per mention; none wrote an empty manifest and exited 0.  The
+        # operators are checked before the circuit file is read.
         out = tmp_path / "mutants"
-        assert run_cli("mutate", "--circuit", files["bell"], "--operators", operators,
-                       "--out", str(out)) == 2
-        self._assert_one_error_line(capsys, "operators ")
+        for circuit in (files["bell"], str(tmp_path / "missing.qasm")):
+            assert run_cli("mutate", "--circuit", circuit, "--operators", operators,
+                           "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(("error: operators ", "error: unknown operators: "))
+            assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
 
@@ -790,10 +796,10 @@ class TestVerdictEvidence:
         manifest = tmp_path / "corpus.jsonl"
         manifest.write_text(json.dumps({"pair_id": "p0", "original": files["bell"],
                                         "mutant": files["broken"]}) + "\n")
-        from qut.bench import ExperimentConfig, SAMPLED_TESTS
+        from qut.bench import ExperimentConfig
         cfg = tmp_path / "cfg.json"
         cfg.write_text(ExperimentConfig(corpus=str(manifest), repetitions=2,
-                                        tests=SAMPLED_TESTS, mc_reps=20).to_json())
+                                        tests=ALL_TESTS, mc_reps=20).to_json())
         script = "\n".join([
             "import sys",
             "from qut.cli import main",
@@ -1292,6 +1298,28 @@ class TestParserDeclarations:
     def test_help_text_is_pinned(self, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
         assert _main_captured([*command, "-h"]) == (0, _HELP_TEXTS[command], "")
+
+    # each `qut run --test` spelling and the test it names
+    RUN_TEST_NAMES = {
+        "chi2": "chi2",
+        "g": "g_test",
+        "multinomial": "multinomial",
+        "mc-chi2": "mc_chi2",
+        "mc-g": "mc_g",
+        "mc-multinomial": "mc_multinomial",
+        "swap": "swap",
+        "statevector": "statevector",
+        "inverse": "inverse",
+    }
+
+    def test_run_test_spellings_are_pinned(self):
+        # the CLI derives its table from testing.ALL_TESTS, so a new or
+        # renamed test changes a spelling here first
+        from qut.bench import ExperimentConfig
+
+        assert _TEST_NAMES == self.RUN_TEST_NAMES
+        for test in self.RUN_TEST_NAMES.values():
+            assert ExperimentConfig(tests=[test]).tests == (test,)
 
     @settings(max_examples=150, deadline=None)
     @given(argv=cli_argvs(), columns=st.sampled_from(["80", "40", "200"]))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qut import gates
+from qut.circuit import GateApplication
 
 
 def test_catalog_matrices_unitary():
     for name, spec in gates.CATALOG.items():
         params = tuple(0.3 + 0.1 * i for i in range(spec.num_params))
-        m = gates.gate_matrix(name, params)
-        assert gates.is_unitary(m), name
+        m = spec.matrix_fn(*params)
+        assert gates.unitarity_defect(m) <= gates.UNITARY_ATOL, name
         assert m.shape == (2 ** spec.arity, 2 ** spec.arity)
 
 
@@ -21,8 +22,7 @@ def test_every_gate_has_catalog_inverse():
         params = tuple(0.5 for _ in range(spec.num_params))
         inv_spec = gates.CATALOG[spec.inverse_name]
         inv_params = tuple(s * p for s, p in zip(inv_spec.param_signs, params))
-        prod = gates.gate_matrix(spec.inverse_name, inv_params) @ \
-            gates.gate_matrix(name, params)
+        prod = inv_spec.matrix_fn(*inv_params) @ spec.matrix_fn(*params)
         np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-10)
 
 
@@ -38,20 +38,18 @@ def test_s_inverse_is_sdg():
 
 
 def test_hadamard_entries():
-    m = gates.gate_matrix("h", ())
+    m = gates.CATALOG["h"].matrix_fn()
     inv = 1 / math.sqrt(2)
     np.testing.assert_allclose(m, [[inv, inv], [inv, -inv]], atol=1e-15)
 
 
 def test_controlled_builder_cx():
-    cx = gates.controlled(gates.gate_matrix("x", ()), 1)
-    np.testing.assert_array_equal(
-        cx, gates.gate_matrix("cx", ())
-    )
+    cx = gates.controlled(gates.CATALOG["x"].matrix_fn(), 1)
+    np.testing.assert_array_equal(cx, gates.CATALOG["cx"].matrix_fn())
 
 
 def test_ccx_structure():
-    m = gates.gate_matrix("ccx", ())
+    m = gates.CATALOG["ccx"].matrix_fn()
     # acts only when both low (control) bits are set
     assert m[3, 7] == 1 and m[7, 3] == 1
     diag = np.diag(m)
@@ -61,7 +59,7 @@ def test_ccx_structure():
 
 def test_r_gate_matches_definition():
     theta, phi = 0.7, 1.2
-    m = gates.gate_matrix("r", (theta, phi))
+    m = gates.CATALOG["r"].matrix_fn(theta, phi)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]])
     from scipy.linalg import expm
@@ -90,17 +88,22 @@ def test_fixed_catalog_matrices_are_read_only():
     for name, spec in gates.CATALOG.items():
         if spec.num_params == 0:
             with pytest.raises(ValueError):
-                gates.gate_matrix(name)[0, 0] = 5
-    np.testing.assert_array_equal(gates.gate_matrix("x"), [[0, 1], [1, 0]])
+                spec.matrix_fn()[0, 0] = 5
+    np.testing.assert_array_equal(gates.CATALOG["x"].matrix_fn(), [[0, 1], [1, 0]])
 
 
 def test_unknown_gate_rejected():
-    with pytest.raises(KeyError):
-        gates.gate_matrix("nope", ())
+    assert "nope" not in gates.CATALOG
+    with pytest.raises(ValueError, match="unknown gate kind 'nope'"):
+        GateApplication("nope", (0,))
 
 
 def test_is_unitary_rejects_defect():
-    assert not gates.is_unitary(np.array([[1, 0], [0, 0.999]], dtype=complex))
+    # a custom gate is unitary when its defect is at most UNITARY_ATOL; a
+    # matrix with a nan entry has a nan defect and is not
+    for m in ([[1, 0], [0, 0.999]], [[1, 0], [0, np.nan]]):
+        with pytest.raises(ValueError, match="not unitary within 1e-10"):
+            GateApplication(gates.CUSTOM, (0,), matrix=np.array(m, dtype=complex))
 
 
 def test_is_unitary_compares_the_defect_with_atol_alone():
@@ -108,10 +111,12 @@ def test_is_unitary_compares_the_defect_with_atol_alone():
     # rtol of 1e-5 used to accept it on the diagonal
     m = np.diag([1 + 1e-6, 1]).astype(complex)
     assert gates.unitarity_defect(m) == pytest.approx(2e-6 + 1e-12, rel=1e-9)
-    assert not gates.is_unitary(m)
-    assert gates.is_unitary(m, atol=3e-6)
+    assert gates.UNITARY_ATOL == 1e-10
     within = np.diag([1 + 4e-11, 1]).astype(complex)
-    assert gates.is_unitary(within) and not gates.is_unitary(within, atol=7e-11)
+    assert gates.unitarity_defect(within) <= gates.UNITARY_ATOL < gates.unitarity_defect(m)
+    GateApplication(gates.CUSTOM, (0,), matrix=within)
+    with pytest.raises(ValueError, match="not unitary"):
+        GateApplication(gates.CUSTOM, (0,), matrix=m)
 
 
 def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
@@ -125,9 +130,9 @@ def test_exchange_pairs_rebuild_exactly_the_permutation_gates():
 
     fixed = [name for name, spec in gates.CATALOG.items() if spec.num_params == 0]
     assert set(gates.EXCHANGES) == {
-        name for name in fixed if is_permutation(gates.gate_matrix(name))}
+        name for name in fixed if is_permutation(gates.CATALOG[name].matrix_fn())}
     for name, pairs in gates.EXCHANGES.items():
-        m = gates.gate_matrix(name)
+        m = gates.CATALOG[name].matrix_fn()
         rebuilt = np.eye(len(m), dtype=complex)
         for i, j in pairs:
             rebuilt[[i, j]] = rebuilt[[j, i]]
@@ -145,7 +150,7 @@ def test_real_kinds_are_the_non_exchanges_with_real_matrices(theta):
     assert gates.REAL.isdisjoint(gates.EXCHANGES)
     for name in gates.REAL:
         spec = gates.CATALOG[name]
-        assert not gates.gate_matrix(name, (theta,) * spec.num_params).imag.any(), name
+        assert not spec.matrix_fn(*(theta,) * spec.num_params).imag.any(), name
 
 
 def _controlled_loop(base, num_controls=1):
@@ -178,13 +183,13 @@ def _rotation_reference(kind, theta, phi=0.0):
 def _assert_rotations_keep_every_bit(theta, phis):
     # signed zeros included: tobytes compares them, array_equal would not
     for kind in ("rx", "ry", "rz", "p"):
-        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+        assert gates.CATALOG[kind].matrix_fn(theta).tobytes() == \
             _rotation_reference(kind, theta).tobytes(), kind
     for phi in phis:
-        assert gates.gate_matrix("r", (theta, phi)).tobytes() == \
+        assert gates.CATALOG["r"].matrix_fn(theta, phi).tobytes() == \
             _rotation_reference("r", theta, phi).tobytes(), phi
     for kind in ("crx", "cry", "crz", "cp"):
-        assert gates.gate_matrix(kind, (theta,)).tobytes() == \
+        assert gates.CATALOG[kind].matrix_fn(theta).tobytes() == \
             _controlled_loop(_rotation_reference(kind[1:], theta)).tobytes(), kind
 
 
@@ -192,9 +197,9 @@ def _assert_rotations_keep_every_bit(theta, phis):
                                    -1e300])
 def test_rotation_and_controlled_matrices_keep_every_bit(theta):
     _assert_rotations_keep_every_bit(theta, (0.0, -0.0, 1.2, -2.5))
-    base = gates.gate_matrix("rx", (theta,))
+    base = gates.CATALOG["rx"].matrix_fn(theta)
     assert gates.controlled(base, 2).tobytes() == _controlled_loop(base, 2).tobytes()
-    swap = gates.gate_matrix("swap")
+    swap = gates.CATALOG["swap"].matrix_fn()
     assert gates.controlled(swap, 1).tobytes() == _controlled_loop(swap, 1).tobytes()
 
 

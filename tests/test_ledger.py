@@ -141,3 +141,12 @@ def test_run_side_unpacks_runs_and_copies_the_result(tmp_path):
     run = ledger.run_side(buffer.getvalue(), tmp_path / "c",
                           [sys.executable, "qutbench/run.py"], "unknown", 5, 15)
     assert run == {"exit": 2, "stderr": "error: unknown workload\n", "result": None}
+
+
+def test_line_delta_sums_numstat_lines():
+    numstat = ("10\t13\tsrc/qut/bench.py\n"
+               "5\t16\tsrc/qut/circuit.py\n"
+               "-\t-\tsrc/qut/logo.png\n"
+               "0\t7\tsrc/qut/old name.py\n")
+    assert ledger.line_delta(numstat) == {"added": 15, "deleted": 36, "net": -21}
+    assert ledger.line_delta("") == {"added": 0, "deleted": 0, "net": 0}

@@ -155,7 +155,7 @@ class TestRealProduct:
     def test_float_view_keeps_every_bit_of_the_complex_product(self, kind, log_columns,
                                                                theta, seed):
         spec = gates.CATALOG[kind]
-        m = gates.gate_matrix(kind, (theta,) * spec.num_params)
+        m = spec.matrix_fn(*(theta,) * spec.num_params)
         rng = np.random.default_rng(seed)
         shape = (len(m), 1 << log_columns)
         block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -170,7 +170,7 @@ class TestRealProduct:
         # product gives +0.0; every value and every imaginary bit agree
         spec = gates.CATALOG[kind]
         rng = np.random.default_rng(seed)
-        m = gates.gate_matrix(kind, tuple(rng.uniform(-7, 7, spec.num_params)))
+        m = spec.matrix_fn(*rng.uniform(-7, 7, spec.num_params))
         floats = rng.normal(size=(len(m), 2 << log_columns))
         zeros = rng.random(floats.shape) < zero_share
         floats[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
@@ -180,7 +180,7 @@ class TestRealProduct:
         assert real.imag.tobytes() == full.imag.tobytes()
 
 
-# SHA-256 of the amplitude bytes `run_statevector` gives, recorded from the
+# `_digest` of the amplitudes `run_statevector` gives, recorded from the
 # kernel that exchanged permutation gates' sub-arrays over the (2,)*n view.
 # Changes to the gate kernel must leave every bit of these outputs in place.
 DENSE_PREP_DIGESTS = {
@@ -206,7 +206,14 @@ RANDOM_CIRCUIT_DIGESTS = {
 
 
 def _amplitude_digest(c: Circuit) -> str:
-    return hashlib.sha256(run_statevector(c).amplitudes.tobytes()).hexdigest()
+    return _digest(run_statevector(c).amplitudes)
+
+
+def _digest(amplitudes: np.ndarray) -> str:
+    """SHA-256 of the float view with each -0.0 read as +0.0 (adding +0.0
+    does that and changes no other value): the sign of an exact zero is
+    whatever the BLAS product wrote."""
+    return hashlib.sha256((amplitudes.view(float) + 0.0).tobytes()).hexdigest()
 
 
 def _dense_prep(n: int) -> Circuit:
@@ -223,6 +230,13 @@ class TestPinnedOutputBits:
     @pytest.mark.parametrize("n", sorted(RANDOM_CIRCUIT_DIGESTS))
     def test_random_circuit(self, n):
         assert _amplitude_digest(random_circuit(n, 30, seed=n)) == RANDOM_CIRCUIT_DIGESTS[n]
+
+    def test_the_sign_of_a_zero_leaves_the_digest(self):
+        plus = np.array([0.6, 0.0, 0.0, 0.8])
+        minus = np.array([0.6, -0.0, -0.0, 0.8])
+        assert plus.tobytes() != minus.tobytes()
+        assert _digest(plus.view(complex)) == _digest(minus.view(complex))
+        assert _digest(plus.view(complex)) != _digest(-plus.view(complex))
 
     def test_wide_preparation_reads_back_from_qasm(self):
         # the shape of the synthesized expected files a 12-qubit inverse test reads

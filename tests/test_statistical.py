@@ -8,6 +8,7 @@ from scipy import stats
 from qut import bench, testing
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.simulator import (
+    first_failing_shot,
     multinomial_counts,
     run_statevector,
     sample_from_probs,
@@ -17,7 +18,7 @@ from qut.testing import (
     MultinomialIntractableError,
     STAT_KINDS,
     exact_multinomial_p_value,
-    first_failure_under_law,
+    failure_probability,
     gof_statistic,
     inverse_test,
     statistical_p_value,
@@ -445,10 +446,10 @@ class TestLawStreamContract:
     must be recorded as a new stream version."""
 
     def test_seeded_first_failures_are_pinned(self):
-        assert first_failure_under_law("swap", 0.75, 100, seed=1) == 9
-        assert first_failure_under_law("inverse", 0.75, 100, seed=1) == 4
-        assert first_failure_under_law("inverse", 0.999, 10 ** 4, seed=2) == 130
-        assert first_failure_under_law("swap", 0.999, 10 ** 4, seed=2) == 260
+        pinned = {("swap", 0.75, 100, 1): 9, ("inverse", 0.75, 100, 1): 4,
+                  ("inverse", 0.999, 10 ** 4, 2): 130, ("swap", 0.999, 10 ** 4, 2): 260}
+        for (test, f, shots, seed), first in pinned.items():
+            assert first_failing_shot(failure_probability(test, f), shots, seed) == first
 
     def test_perturbed_hadamard_at_1e7_is_pinned(self):
         # the paper's buggy Hadamard, 1 - F = 6.05e-7

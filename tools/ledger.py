@@ -13,7 +13,8 @@ ledger keeps each run's result line, the last line the benchmark prints
 (`{correct, attempted, failed, metrics}`), the machine, and per workload and
 side the median and quartiles of every end-to-end metric, with the number of
 pairs in which the change reads better and the answers of the acceptance rule:
-`gain_met` and `within_bound` per metric.
+`gain_met` and `within_bound` per metric.  It also states the net line delta
+of `src/` between the two commits (`src_line_delta`).
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def run_side(archive: bytes, root: Path, command: list[str], workload: str, seed
     lines = done.stdout.splitlines()
     return {"exit": done.returncode, "stderr": done.stderr[-2000:],
             "result": json.loads(lines[-1]) if lines else None}
+
+
+def line_delta(numstat: str) -> dict:
+    """Lines added, deleted and net over the output of `git diff --numstat`;
+    a binary file, which numstat counts as "-", adds none."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        if line:
+            plus, minus, _ = line.split("\t", 2)
+            added += int(plus) if plus != "-" else 0
+            deleted += int(minus) if minus != "-" else 0
+    return {"added": added, "deleted": deleted, "net": added - deleted}
 
 
 def _spread(values: list[float]) -> dict:
@@ -137,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
                     ops = (run["result"] or {}).get("metrics", {}).get("ops_per_s", {})
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
                           f"ops_per_s {ops.get('value')}", file=sys.stderr)
-    ledger = {"commits": commits, "run_seconds": bench["run_seconds"], "machine": machine,
+    numstat = git("diff", "--numstat", commits["parent"], commits["change"], "--", "src")
+    ledger = {"commits": commits, "src_line_delta": line_delta(numstat.decode()),
+              "run_seconds": bench["run_seconds"], "machine": machine,
               "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
     Path(args.out).write_text(json.dumps(ledger, indent=2) + "\n")
     return 0 if all(run["exit"] == 0 for run in runs) else 1
