@@ -321,9 +321,9 @@ class TestExitCodes:
         for circuit in (files["bell"], str(tmp_path / "missing.qasm")):
             assert run_cli("mutate", "--circuit", circuit, "--operators", operators,
                            "--out", str(out)) == 2
-            err = capsys.readouterr().err
+            out_text, err = capsys.readouterr()
+            assert out_text == "" and "Traceback" not in err and err.count("\n") == 1
             assert err.startswith(("error: operators ", "error: unknown operators: "))
-            assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
 
