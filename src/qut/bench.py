@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit
-from .jsonio import load_circuit
+from .jsonio import _is_int, _is_real, load_circuit
 from .shots import EquivalentStatesError, plan_shots
 from .simulator import _support, first_failing_shot, run_statevector, sample_from_probs
 from .testing import (
@@ -122,11 +122,6 @@ def min_shots_statistical(
     return horizon + 1 if horizon < len(values) else None
 
 
-def _wrong_type(value, types) -> bool:
-    """True unless `value` is one of `types`; a bool counts as none of them."""
-    return isinstance(value, bool) or not isinstance(value, types)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus: str = ""
@@ -153,17 +148,17 @@ class ExperimentConfig:
         if not isinstance(self.record_timing, bool):
             raise ValueError(
                 f"record_timing must be true or false, got {self.record_timing!r}")
-        if _wrong_type(self.base_seed, int):
+        if not _is_int(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         for name in ("repetitions", "shot_cap_absolute", "mc_reps"):
             value = getattr(self, name)
-            if _wrong_type(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("p_t", "p_e"):
             value = getattr(self, name)
-            if _wrong_type(value, (int, float)) or not 0.0 < value < 1.0:
+            if not _is_real(value) or not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
-        if _wrong_type(self.cap_factor, (int, float)) or not 0.0 < self.cap_factor < math.inf:
+        if not _is_real(self.cap_factor) or self.cap_factor <= 0.0:
             raise ValueError(
                 f"cap_factor must be a positive finite number, got {self.cap_factor!r}")
         unknown = set(self.tests) - set(ALL_TESTS)
@@ -171,18 +166,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
         if len(set(self.tests)) != len(self.tests):
             raise ValueError(f"tests repeat a name: {list(self.tests)}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {k: list(v) if isinstance(v, tuple) else v
-             for k, v in self.__dict__.items()},
-            indent=2,
-        )
 
 
 @dataclass(frozen=True)
@@ -208,12 +191,19 @@ class CorpusPair:
     original: Circuit
     mutant: Circuit
 
+    def __post_init__(self):
+        # checked as the corpus loads, so that no pair runs before a bad one
+        if self.original.num_qubits != self.mutant.num_qubits:
+            raise ValueError(f"pair_id '{self.pair_id}': the original has "
+                             f"{self.original.num_qubits} qubits and the mutant "
+                             f"{self.mutant.num_qubits}")
+
 
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
     paths relative to the manifest.  A repeated pair_id raises ValueError,
-    since rows are keyed and ranked by it, and so does a manifest with no
-    pair."""
+    since rows are keyed and ranked by it, and so do a pair whose original
+    and mutant differ in width and a manifest with no pair."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs, ids = [], set()

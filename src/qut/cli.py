@@ -110,24 +110,20 @@ def _cmd_mutate(args) -> int:
     if not 0.0 < args.fraction <= 1.0:  # nan too: checked before any work
         raise ValueError("fraction must lie in (0, 1]")
     operators = [op.strip().lower() for op in args.operators.split(",") if op.strip()]
-    unknown = set(operators) - {"qgr", "qgd", "qgi", "rgi"}
+    unknown = set(operators) - set(mutation.OPERATORS)
     if unknown:
         raise ValueError(f"unknown operators: {sorted(unknown)}")
     if not operators:
-        raise ValueError("operators must name at least one of qgr, qgd, qgi, rgi")
+        raise ValueError(
+            f"operators must name at least one of {', '.join(mutation.OPERATORS)}")
     if len(set(operators)) < len(operators):
         raise ValueError(f"operators repeat a name: {operators}")
     circuit = _load_circuit(args.circuit)
     records = []
     for op in operators:
-        if op == "qgr":
-            records += mutation.mutate_qgr(circuit)
-        elif op == "qgd":
-            records += mutation.mutate_qgd(circuit)
-        elif op == "qgi":
-            records += mutation.mutate_qgi(circuit)
-        else:
-            records += mutation.mutate_rgi(circuit, args.seed, count=args.rgi_count)
+        mutate = mutation.OPERATORS[op]
+        records += (mutate(circuit, args.seed, count=args.rgi_count) if op == "rgi"
+                    else mutate(circuit))
     records = mutation.filter_equivalent(circuit, records)
     if args.fraction < 1.0:
         records = mutation.sample_mutants(records, args.fraction, args.seed)
@@ -157,7 +153,7 @@ def _cmd_bench(args) -> int:
     from . import bench
 
     try:
-        config = bench.ExperimentConfig.from_json(Path(args.config).read_text())
+        config = bench.ExperimentConfig(**json.loads(Path(args.config).read_text()))
     except OSError as exc:
         raise CliIoError(f"cannot read {args.config}: {exc}")
     except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: nesting too deep

@@ -101,11 +101,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(max(overlap, 0.0), 1.0)
 
 
-def density_from_pure(state: StateVector) -> DensityMatrix:
-    """Rank-1 projector |psi><psi|."""
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
 def fractional_power(dm: DensityMatrix, p: float) -> np.ndarray:
     """dm^p for p in [0, 1] via Hermitian eigendecomposition.
 
@@ -127,10 +122,3 @@ def global_phase_aligned(actual: np.ndarray, expected: np.ndarray) -> np.ndarray
     idx = int(np.argmax(np.abs(actual)))
     phase = np.angle(expected[idx]) - np.angle(actual[idx])
     return actual * np.exp(1j * phase)
-
-
-def random_statevector(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-ish random pure state (Gaussian amplitudes, normalized)."""
-    dim = 1 << num_qubits
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))

@@ -93,6 +93,10 @@ def mutate_rgi(c: Circuit, seed: int, count: int = 1) -> list[MutantRecord]:
     return out
 
 
+# name -> operator, in `qut mutate`'s default order; rgi also takes a seed and a count
+OPERATORS = {"qgr": mutate_qgr, "qgd": mutate_qgd, "qgi": mutate_qgi, "rgi": mutate_rgi}
+
+
 def filter_equivalent(
     original: Circuit, mutants: Iterable[MutantRecord]
 ) -> list[MutantRecord]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -136,16 +135,3 @@ def estimate_shots_for_pair(
     _check_error_probability(p_e)  # before anything is simulated
     return plan_shots(statevector_verdict(run_statevector(mutant),
                                           expected_state(expected)), p_e)
-
-
-def shot_curve(
-    sigma11_range: Iterable[float], p_e_set: Iterable[float]
-) -> list[tuple[float, float, int]]:
-    """Tabulate (sigma_11, p_e, shots) over the requested grids."""
-    rows = []
-    for p_e in p_e_set:
-        for s11 in sigma11_range:
-            if not 0.0 < s11 < 1.0:
-                raise ValueError("sigma11 range must lie in (0, 1)")
-            rows.append((float(s11), float(p_e), estimate_shots(s11, p_e).shots))
-    return rows

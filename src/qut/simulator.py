@@ -86,24 +86,3 @@ def first_failing_shot(q: float, shots: int, seed: int) -> int | None:
         return None
     k = np.random.default_rng(seed).geometric(q)
     return int(k) if k <= shots else None
-
-
-def marginal_probability_one(state: StateVector, qubit: int) -> float:
-    """P(qubit = 1) in the given state."""
-    if qubit < 0 or qubit >= state.num_qubits:
-        raise IndexError("qubit index out of range")
-    idx = np.arange(1 << state.num_qubits)
-    mask = (idx >> qubit) & 1
-    return float(state.probabilities()[mask == 1].sum())
-
-
-def marginal_sample(c: Circuit, qubit: int, shots: int, seed: int) -> np.ndarray:
-    """S seeded measurements (int64 bits, in shot order) of a single qubit's
-    marginal distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p1 = marginal_probability_one(run_statevector(c), qubit)
-    if not _support(p1):
-        p1 = 0.0
-    rng = np.random.default_rng(seed)
-    return (rng.random(shots) < p1).astype(np.int64)

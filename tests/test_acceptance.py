@@ -20,16 +20,11 @@ from qut.circuit import (
     random_circuit,
 )
 from qut.cli import main as cli_main
-from qut.core import (
-    StateVector,
-    density_from_pure,
-    fidelity,
-    random_statevector,
-)
+from qut.core import StateVector, fidelity
 from qut.jsonio import emit_json, parse_json
 from qut.qasm import emit_qasm, parse_qasm
-from qut.shots import estimate_shots, qcb_exponent, shot_curve
-from qut.simulator import marginal_sample, run_statevector, sample_from_probs
+from qut.shots import estimate_shots, qcb_exponent
+from qut.simulator import run_statevector, sample_from_probs
 from qut.synth import synthesize_state_prep
 from qut.testing import (
     inverse_test,
@@ -39,6 +34,7 @@ from qut.testing import (
 )
 
 from conftest import record_acceptance
+from oracles import density_from_pure, marginal_sample, random_statevector
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 EMPTY_1Q = Circuit(1)
@@ -289,11 +285,8 @@ class TestCriterion6EmpiricalLaws:
 class TestCriterion7ShotCurve:
     def test_curve_shape(self):
         grid = np.linspace(0.001, 0.999, 200)
-        p_e_set = (0.001, 0.01, 0.05)
-        rows = shot_curve(grid, p_e_set)
-        by_pe = {}
-        for s, p, nshots in rows:
-            by_pe.setdefault(p, []).append(nshots)
+        by_pe = {p_e: [estimate_shots(s11, p_e).shots for s11 in grid]
+                 for p_e in (0.001, 0.01, 0.05)}
         monotone_sigma = all(
             all(a <= b for a, b in zip(col, col[1:]))
             for col in by_pe.values()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qut
-from qut import cli
+from qut import cli, mutation
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.cli import _TEST_NAMES, main
 from qut.jsonio import emit_json
@@ -257,7 +257,7 @@ class TestExitCodes:
             "pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}) + "\n")
         from qut.bench import ExperimentConfig
         config = tmp_path / "cfg.json"
-        config.write_text(ExperimentConfig(corpus=str(manifest), repetitions=1).to_json())
+        config.write_text(json.dumps(vars(ExperimentConfig(corpus=str(manifest), repetitions=1))))
         return str(config)
 
     @staticmethod
@@ -299,6 +299,28 @@ class TestExitCodes:
         self._assert_one_error_line(capsys, f"cannot write {out}: Permission denied\n")
         assert not out.exists()
 
+    def test_corpus_pair_of_two_widths_is_three_before_any_pair(
+            self, files, tmp_path, monkeypatch, capsys):
+        # the pairs before it ran, then "qubit counts differ: 2 vs 1" exited
+        # 2 without naming the pair
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a pair before the corpus had loaded")
+
+        one = tmp_path / "one.qasm"
+        one.write_text(emit_qasm(Circuit(1, (GateApplication("h", (0,)),))))
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text("".join(json.dumps(pair) + "\n" for pair in (
+            {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]},
+            {"pair_id": "p1", "original": str(one), "mutant": files["bell"]})))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"corpus": str(manifest), "repetitions": 1}))
+        monkeypatch.setattr("qut.bench._run_pair", no_run)
+        out = tmp_path / "rows.csv"
+        assert run_cli("bench", "--config", str(config), "--out", str(out)) == 3
+        self._assert_one_error_line(capsys, "cannot load corpus: pair_id 'p1': the original "
+                                            "has 1 qubits and the mutant 2\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
     def test_mutate_out_that_cannot_be_written_is_three(self, files, tmp_path, capsys, where):
         # it raised FileExistsError or NotADirectoryError
@@ -325,6 +347,14 @@ class TestExitCodes:
             assert out_text == "" and "Traceback" not in err and err.count("\n") == 1
             assert err.startswith(("error: operators ", "error: unknown operators: "))
         assert not out.exists()
+
+    def test_mutate_operators_are_mutation_operators(self, files, tmp_path, capsys):
+        # the CLI kept its own list of operator names beside the operators
+        args = cli.build_parser().parse_args(["mutate", "--circuit", "c", "--out", "o"])
+        assert args.operators == ",".join(mutation.OPERATORS)
+        for name in mutation.OPERATORS:
+            assert run_cli("mutate", "--circuit", files["bell"], "--operators", name,
+                           "--out", str(tmp_path / name)) == 0
 
 
 class TestSubcommands:
@@ -481,8 +511,8 @@ class TestSubcommands:
             "mutant": files["broken"]}) + "\n")
         from qut.bench import ExperimentConfig
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(ExperimentConfig(
-            corpus=str(manifest), repetitions=3).to_json())
+        cfg_path.write_text(json.dumps(vars(ExperimentConfig(
+            corpus=str(manifest), repetitions=3))))
         out_csv = tmp_path / "rows.csv"
         assert run_cli("bench", "--config", str(cfg_path),
                        "--out", str(out_csv)) == 0
@@ -605,12 +635,16 @@ class TestInputContract:
         ({"record_timing": "no"}, "record_timing must be true or false, got 'no'"),
         ({"record_timing": 0}, "record_timing must be true or false, got 0"),
         ({"corpus": 1}, "corpus must be a path string, got 1"),
+        pytest.param({"cap_factor": 10 ** 400},
+                     f"cap_factor must be a positive finite number, got {10 ** 400}",
+                     id="config10-cap_factor an integer past float range"),
     ])
     def test_mistyped_bench_config_is_three_with_its_reason(
             self, files, tmp_path, capsys, config, message):
         # "tests": [] used to end in "no rows to summarize" (exit 2), the
         # others ran: true as a cap factor of 1.0, "abc" or 1.5 mixed into
-        # the seeds as text, and "no" as a true record_timing
+        # the seeds as text, "no" as a true record_timing, and 10 ** 400 as an
+        # infinite cap factor
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
         assert self._bench(tmp_path, [pair], **config) == (3, False)
         assert capsys.readouterr().err == f"error: bad config: {message}\n"
@@ -798,8 +832,8 @@ class TestVerdictEvidence:
                                         "mutant": files["broken"]}) + "\n")
         from qut.bench import ExperimentConfig
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(ExperimentConfig(corpus=str(manifest), repetitions=2,
-                                        tests=ALL_TESTS, mc_reps=20).to_json())
+        cfg.write_text(json.dumps(vars(ExperimentConfig(corpus=str(manifest), repetitions=2,
+                                                        tests=ALL_TESTS, mc_reps=20))))
         script = "\n".join([
             "import sys",
             "from qut.cli import main",

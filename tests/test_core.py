@@ -9,13 +9,13 @@ from qut.core import (
     DensityMatrix,
     DimensionMismatchError,
     StateVector,
-    density_from_pure,
     fidelity,
     fractional_power,
     global_phase_aligned,
-    random_statevector,
 )
 from qut.simulator import run_statevector
+
+from oracles import density_from_pure, random_statevector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -23,10 +23,14 @@ def _result(ops, rss, setup, failed=0, correct=True):
                         "setup_s": {"value": setup, "unit": "s"}}}
 
 
-def _runs(rows):
-    """Ledger runs holding the given result lines."""
-    return [{"workload": workload, "seed": seed, "side": side, "result": result}
+def _runs(rows, round_s=()):
+    """Ledger runs holding the given result lines and, in order, the given
+    in-process round times."""
+    runs = [{"workload": workload, "seed": seed, "side": side, "result": result}
             for workload, seed, side, result in rows]
+    for run, seconds in zip(runs, round_s):
+        run["inprocess_round_s"] = seconds
+    return runs
 
 
 def test_summary_has_medians_quartiles_and_wins():
@@ -53,6 +57,32 @@ def test_summary_has_medians_quartiles_and_wins():
     assert summary["desk-bench"] == {
         "pairs": 0, "parent": {"incorrect_runs": 0, "failed_share": 0.0},
         "change": {"incorrect_runs": 0, "failed_share": 0.0}}
+
+
+def test_summary_has_inprocess_round_medians_and_their_ratio():
+    rows, round_s = [], []
+    for seed in range(5):
+        rows += [("verdict-1e7", seed, "parent", _result(100, 120.0, 0.04)),
+                 ("verdict-1e7", seed, "change", _result(96, 120.0, 0.04))]
+        round_s += [0.010 + 0.001 * seed, 0.011 + 0.001 * seed]
+    # a pair without its change's result line counts on neither side
+    rows += [("verdict-1e7", 9, "parent", _result(100, 120.0, 0.04)),
+             ("verdict-1e7", 9, "change", None)]
+    round_s += [1.0, 1.0]
+    # a probe that failed leaves its side without a time, and the ratio out
+    rows += [("desk-bench", 1, "parent", _result(50, 140.0, 0.03)),
+             ("desk-bench", 1, "change", _result(50, 140.0, 0.03))]
+    round_s += [0.5, None]
+    summary = ledger.summarize(_runs(rows, round_s), END_TO_END)
+
+    verdict = summary["verdict-1e7"]
+    assert verdict["parent"]["inprocess_round_s"]["median"] == pytest.approx(0.012)
+    assert verdict["change"]["inprocess_round_s"]["median"] == pytest.approx(0.013)
+    assert verdict["change"]["inprocess_round_s"]["q1"] == pytest.approx(0.012)
+    assert verdict["median_ratio"]["inprocess_round_s"] == pytest.approx(0.013 / 0.012)
+    desk = summary["desk-bench"]
+    assert "inprocess_round_s" in desk["parent"] and "inprocess_round_s" not in desk["change"]
+    assert "inprocess_round_s" not in desk["median_ratio"]
 
 
 def test_one_pair_reads_its_own_values_as_quartiles():
@@ -122,25 +152,52 @@ print(json.dumps({"seconds": a.seconds, "trace": a.trace, "fresh": fresh,
                   "no_bytecode": os.environ["PYTHONDONTWRITEBYTECODE"]}))
 sys.exit(1)
 """
+# `nominal_duration` reads the number of rounds run so far, so the probe's
+# median says whether it warmed up with one round first
+FAKE_CLOCK = """
+import workloads
+def nominal_duration(fn):
+    fn()
+    return float(workloads.RUNS)
+"""
+FAKE_WORKLOADS = """
+RUNS = 0
+class Workload:
+    def build(self, seed, index, root):
+        assert (seed, index) == (5, 0) and root.is_absolute()
+        root.mkdir()
+        return {"root": root}
+    def run(self, inputs):
+        global RUNS
+        assert inputs["root"].is_dir()
+        RUNS += 1
+WORKLOADS = {"verdict-1e7": Workload()}
+"""
 
 
 def test_run_side_unpacks_runs_and_copies_the_result(tmp_path):
     buffer = io.BytesIO()
     with tarfile.open(fileobj=buffer, mode="w") as tar:
-        data = FAKE_RUN.encode()
-        info = tarfile.TarInfo("qutbench/run.py")
-        info.size = len(data)
-        tar.addfile(info, io.BytesIO(data))
+        for name, text in (("run", FAKE_RUN), ("clock", FAKE_CLOCK),
+                           ("workloads", FAKE_WORKLOADS)):
+            data = text.encode()
+            info = tarfile.TarInfo(f"qutbench/{name}.py")
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
     for root in (tmp_path / "a", tmp_path / "b"):
         run = ledger.run_side(buffer.getvalue(), root, [sys.executable, "qutbench/run.py"],
                               "verdict-1e7", 5, 15)
+        # one warm-up round, then rounds 2 to 6 timed: their median is 4
         assert run == {"exit": 1, "stderr": "check failed: canned\n",
                        "result": {"seconds": "15", "trace": "0", "fresh": True,
-                                  "no_bytecode": "1"}}
-    # a run that printed no result line, as the benchmark does when it refuses
+                                  "no_bytecode": "1"},
+                       "inprocess_round_s": 4.0}
+    # a run that printed no result line, as the benchmark does when it
+    # refuses, and whose in-process probe fails too
     run = ledger.run_side(buffer.getvalue(), tmp_path / "c",
                           [sys.executable, "qutbench/run.py"], "unknown", 5, 15)
-    assert run == {"exit": 2, "stderr": "error: unknown workload\n", "result": None}
+    assert run == {"exit": 2, "stderr": "error: unknown workload\n", "result": None,
+                   "inprocess_round_s": None}
 
 
 def test_line_delta_sums_numstat_lines():

@@ -6,10 +6,12 @@ import pytest
 from scipy import stats
 
 from qut.circuit import Circuit, GateApplication, random_circuit
-from qut.core import StateVector, fidelity, random_statevector
+from qut.core import StateVector, fidelity
 from qut.simulator import run_statevector
 from qut.synth import synthesize_state_prep
 from qut.testing import inverse_test, statevector_test, statevector_verdict, swap_test
+
+from oracles import random_statevector
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 X_CIRCUIT = Circuit(1, (GateApplication("x", (0,)),))

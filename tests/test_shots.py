@@ -5,22 +5,17 @@ import numpy as np
 import pytest
 
 from qut.circuit import Circuit, GateApplication, random_circuit
-from qut.core import (
-    DensityMatrix,
-    StateVector,
-    density_from_pure,
-    fidelity,
-    random_statevector,
-)
+from qut.core import DensityMatrix, StateVector, fidelity
 from qut.shots import (
     EquivalentStatesError,
     estimate_shots,
     estimate_shots_for_pair,
     qcb_exponent,
     qcb_trace_minimum,
-    shot_curve,
 )
 from qut.simulator import run_statevector
+
+from oracles import density_from_pure, random_statevector
 
 RHO_ZERO_1Q = density_from_pure(StateVector.zero(1))
 
@@ -166,22 +161,14 @@ class TestEstimateForPair:
 
 class TestShotCurve:
     def test_reference_points(self):
-        rows = shot_curve([0.5, 0.001], [0.05])
-        table = {(s, p): n for s, p, n in rows}
-        assert table[(0.5, 0.05)] == 5
-        assert table[(0.001, 0.05)] == 1
+        assert estimate_shots(0.5, 0.05).shots == 5
+        assert estimate_shots(0.001, 0.05).shots == 1
 
     def test_monotone_over_200_point_grid(self):
         grid = np.linspace(0.001, 0.999, 200)
-        rows = shot_curve(grid, [0.001, 0.01, 0.05])
-        by_pe = {}
-        for s, p, n in rows:
-            by_pe.setdefault(p, []).append(n)
+        by_pe = {p_e: [estimate_shots(s11, p_e).shots for s11 in grid]
+                 for p_e in (0.001, 0.01, 0.05)}
         for counts in by_pe.values():
             assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert all(a >= b >= c for a, b, c in
                    zip(by_pe[0.001], by_pe[0.01], by_pe[0.05]))
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            shot_curve([0.0], [0.05])

@@ -9,20 +9,19 @@ from scipy import stats
 
 from qut import gates
 from qut.circuit import Circuit, GateApplication, build_swap_harness, random_circuit
-from qut.core import random_statevector
 from qut.jsonio import nearest_unitary
 from qut.qasm import emit_qasm, parse_qasm
 from qut.simulator import (
     PROB_FLOOR,
     first_failing_shot,
-    marginal_probability_one,
-    marginal_sample,
     multinomial_counts,
     run_statevector,
     sample_from_probs,
 )
 from qut.synth import synthesize_state_prep
 from qut.testing import statistical_test
+
+from oracles import marginal_probability_one, marginal_sample, random_statevector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

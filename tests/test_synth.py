@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qut.circuit import random_circuit
-from qut.core import (StateVector, fidelity, global_phase_aligned,
-                      random_statevector)
+from qut.core import StateVector, fidelity, global_phase_aligned
 from qut.simulator import run_statevector
 from qut.synth import synthesize_state_prep
+
+from oracles import random_statevector
 
 
 def test_zero_state_gives_empty_circuit():

@@ -15,6 +15,14 @@ side the median and quartiles of every end-to-end metric, with the number of
 pairs in which the change reads better and the answers of the acceptance rule:
 `gain_met` and `within_bound` per metric.  It also states the net line delta
 of `src/` between the two commits (`src_line_delta`).
+
+Beside each result line, `inprocess_round_s` is the nominal time of one
+round run in-process: in the run's own copy, round 0 is built at the run's
+seed, run once to warm up, and then timed `INPROCESS_REPEATS` times; the
+median is kept.  The summary gives its median and quartiles per side and its
+`median_ratio`.  It times the same calls as `ops_per_s` without the rest of
+the benchmark process, so a difference of a few percent in `ops_per_s` can
+be checked against it.
 """
 
 from __future__ import annotations
@@ -36,6 +44,20 @@ import json, os, platform, numpy, scipy
 print(json.dumps({"cpu_count": os.cpu_count(), "python": platform.python_version(),
                   "numpy": numpy.__version__, "scipy": scipy.__version__}))
 """
+INPROCESS_REPEATS = 5
+# argv: workload, seed, repeats, work directory; prints the median in seconds
+INPROCESS_PROBE = """
+import statistics, sys
+from pathlib import Path
+sys.path[:0] = ["src", "qutbench"]
+from clock import nominal_duration
+from workloads import WORKLOADS
+workload = WORKLOADS[sys.argv[1]]
+inputs = workload.build(int(sys.argv[2]), 0, Path(sys.argv[4]).resolve())
+workload.run(inputs)
+print(statistics.median(nominal_duration(lambda: workload.run(inputs))
+                        for _ in range(int(sys.argv[3]))))
+"""
 
 
 def git(*args: str) -> bytes:
@@ -45,19 +67,24 @@ def git(*args: str) -> bytes:
 def run_side(archive: bytes, root: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
     """Unpack `archive` into the new directory `root`, run the benchmark
-    there, and return its exit code and its result line (None if it printed
-    none)."""
+    there, and return its exit code, its result line (None if it printed
+    none) and the in-process round time (None if the probe failed)."""
     root.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(root, filter="data")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
-        cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True)
+        cwd=root, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
+    probe = subprocess.run(
+        [command[0], "-c", INPROCESS_PROBE, workload, str(seed), str(INPROCESS_REPEATS),
+         "inprocess-round"],
+        cwd=root, env=env, capture_output=True, text=True)
     return {"exit": done.returncode, "stderr": done.stderr[-2000:],
-            "result": json.loads(lines[-1]) if lines else None}
+            "result": json.loads(lines[-1]) if lines else None,
+            "inprocess_round_s": float(probe.stdout) if probe.returncode == 0 else None}
 
 
 def line_delta(numstat: str) -> dict:
@@ -80,35 +107,40 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: each side's runs, failures and the median and quartiles
-    of every end-to-end metric; per metric, the pairs the change wins (ties
-    count for neither side), the ratio of the change's median to the
-    parent's, whether a claimed gain would be met (the change wins at least
-    9 of 10 pairs and its median beats the parent's by more than the
-    parent's quartile spread), and whether the change's median is within
-    the metric's relative bound of the parent's."""
+    of every end-to-end metric and of the in-process round time; per metric,
+    the pairs the change wins (ties count for neither side), the ratio of
+    the change's median to the parent's, whether a claimed gain would be met
+    (the change wins at least 9 of 10 pairs and its median beats the
+    parent's by more than the parent's quartile spread), and whether the
+    change's median is within the metric's relative bound of the parent's.
+    The in-process round time gets only its ratio."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = {}
         for run in runs:
             if run["workload"] == workload:
-                pairs.setdefault(run["seed"], {})[run["side"]] = run["result"]
+                pairs.setdefault(run["seed"], {})[run["side"]] = run
         complete = [p for p in pairs.values()
-                    if all(p.get(side) is not None for side in SIDES)]
+                    if all(p.get(side, {}).get("result") is not None for side in SIDES)]
         entry = {"pairs": len(complete)}
         for side in SIDES:
-            results = [p[side] for p in complete]
+            results = [p[side]["result"] for p in complete]
+            round_s = [p[side]["inprocess_round_s"] for p in complete
+                       if p[side].get("inprocess_round_s") is not None]
             entry[side] = {
                 "incorrect_runs": sum(not r["correct"] for r in results),
                 "failed_share": (sum(r["failed"] for r in results)
                                  / max(1, sum(r["attempted"] for r in results))),
                 **{m["name"]: _spread([r["metrics"][m["name"]]["value"] for r in results])
                    for m in end_to_end if results},
+                **({"inprocess_round_s": _spread(round_s)} if round_s else {}),
             }
         for m in end_to_end if complete else ():
             name, sign = m["name"], 1 if m["better"] == "higher" else -1
             parent, change = entry["parent"][name], entry["change"][name]
-            wins = sum(sign * (p["change"]["metrics"][name]["value"]
-                               - p["parent"]["metrics"][name]["value"]) > 0 for p in complete)
+            wins = sum(sign * (p["change"]["result"]["metrics"][name]["value"]
+                               - p["parent"]["result"]["metrics"][name]["value"]) > 0
+                       for p in complete)
             gain = sign * (change["median"] - parent["median"])
             entry.setdefault("change_wins", {})[name] = wins
             entry.setdefault("median_ratio", {})[name] = change["median"] / parent["median"]
@@ -116,6 +148,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 10 * wins >= 9 * len(complete) and gain > parent["q3"] - parent["q1"])
             entry.setdefault("within_bound", {})[name] = (
                 gain >= -m["bound"] * abs(parent["median"]))
+        if all("inprocess_round_s" in entry[side] for side in SIDES):
+            entry["median_ratio"]["inprocess_round_s"] = (
+                entry["change"]["inprocess_round_s"]["median"]
+                / entry["parent"]["inprocess_round_s"]["median"])
         summary[workload] = entry
     return summary
 
@@ -149,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
                                  "first": side == order[0], **run})
                     ops = (run["result"] or {}).get("metrics", {}).get("ops_per_s", {})
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
-                          f"ops_per_s {ops.get('value')}", file=sys.stderr)
+                          f"ops_per_s {ops.get('value')}, "
+                          f"inprocess_round_s {run['inprocess_round_s']}", file=sys.stderr)
     numstat = git("diff", "--numstat", commits["parent"], commits["change"], "--", "src")
     ledger = {"commits": commits, "src_line_delta": line_delta(numstat.decode()),
               "run_seconds": bench["run_seconds"], "machine": machine,
