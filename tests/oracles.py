@@ -2,8 +2,8 @@
 matrices and single-qubit marginal sampling, the oracles that the acceptance
 criteria and unit tests check qut's laws against.
 
-They draw from the same seeded generators as they did inside `qut`, so the
-criteria that use them draw the same streams.
+Each draws only from the generator or seed it is given, so the criteria
+that use them draw fixed streams.
 """
 
 from __future__ import annotations
