@@ -201,16 +201,21 @@ class CorpusPair:
 
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
-    paths relative to the manifest.  A repeated pair_id raises ValueError,
-    since rows are keyed and ranked by it, and so do a pair whose original
-    and mutant differ in width and a manifest with no pair."""
+    paths relative to the manifest.  A line that is not an object with
+    those keys raises ValueError naming the line and the key, and so do a
+    repeated pair_id, since rows are keyed and ranked by it, a pair whose
+    original and mutant differ in width and a manifest with no pair."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs, ids = [], set()
-    for line in manifest_path.read_text().splitlines():
+    for number, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         entry = json.loads(line)
+        for key in ("pair_id", "original", "mutant"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(
+                    f"{manifest_path} line {number} is not an object with the key {key!r}")
         pair_id = str(entry["pair_id"])
         if pair_id in ids:
             raise ValueError(f"pair_id '{pair_id}' appears twice")

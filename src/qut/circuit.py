@@ -23,9 +23,9 @@ class GateApplication:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __init__(self, kind: str, targets, params=(), matrix=None):
-        # the one gate check: the kind, then the targets, then the arity and
-        # parameters or the custom matrix.  Written as __init__ rather than
-        # __post_init__ so that each field is set once.
+        # the one gate check: the kind, the targets, then a catalog kind's
+        # (absent) matrix, arity and parameters, or the custom matrix.  Written
+        # as __init__ rather than __post_init__ so that each field is set once.
         spec = gates.CATALOG.get(kind)
         if spec is None and kind != gates.CUSTOM:
             raise ValueError(f"unknown gate kind '{kind}'")
@@ -40,7 +40,9 @@ class GateApplication:
             raise IndexError(f"gate {kind} targets {targets}: a "
                              "negative qubit index is out of range")
         if spec is not None:
-            object.__setattr__(self, "matrix", matrix)
+            if matrix is not None:
+                raise ValueError(f"gate '{kind}' is a catalog kind and takes no matrix")
+            object.__setattr__(self, "matrix", None)
             if len(targets) != spec.arity:
                 raise ValueError(
                     f"gate '{kind}' has arity {spec.arity}, got {len(targets)} targets"
@@ -260,20 +262,19 @@ def build_inverse_harness(w: Circuit, u: Circuit, expected) -> Circuit:
     return compose(w, u, invert_circuit(expected), name="inverse_harness")
 
 
-# Random-generator catalog: named gates only, grouped by arity.
+# Random-generator kinds by arity: every catalog kind but `id`, in catalog order.
 _RANDOM_KINDS: dict[int, tuple[str, ...]] = {
-    1: ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "p", "r"),
-    2: ("cx", "cy", "cz", "swap", "crx", "cry", "crz", "cp"),
-    3: ("ccx", "cswap"),
-}
+    arity: tuple(name for name, spec in gates.CATALOG.items()
+                 if spec.arity == arity and name != "id")
+    for arity in sorted({spec.arity for spec in gates.CATALOG.values()})}
 
 
 def random_circuit(num_qubits: int, depth: int, seed: int) -> Circuit:
     """Seeded layered random circuit.
 
     Each layer partitions the register into gates: every qubit is used by
-    exactly one gate per layer, with gate arity at most min(n, 3) and
-    parameters uniform in [0, 2*pi).
+    exactly one gate per layer, with gate arity at most n and the catalog's
+    largest arity, and parameters uniform in [0, 2*pi).
     """
     if num_qubits < 1 or depth < 1:
         raise ValueError("need num_qubits >= 1 and depth >= 1")
@@ -282,7 +283,7 @@ def random_circuit(num_qubits: int, depth: int, seed: int) -> Circuit:
     for _ in range(depth):
         free = list(rng.permutation(num_qubits))
         while free:
-            max_arity = min(len(free), num_qubits, 3)
+            max_arity = min(len(free), max(_RANDOM_KINDS))
             arity = int(rng.integers(1, max_arity + 1))
             kinds = _RANDOM_KINDS[arity]
             kind = kinds[int(rng.integers(len(kinds)))]

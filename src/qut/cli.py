@@ -107,8 +107,7 @@ def _cmd_estimate_shots(args) -> int:
 def _cmd_mutate(args) -> int:
     from . import mutation
 
-    if not 0.0 < args.fraction <= 1.0:  # nan too: checked before any work
-        raise ValueError("fraction must lie in (0, 1]")
+    mutation._check_arguments(args.fraction, args.seed, args.rgi_count)
     operators = [op.strip().lower() for op in args.operators.split(",") if op.strip()]
     unknown = set(operators) - set(mutation.OPERATORS)
     if unknown:
@@ -153,7 +152,13 @@ def _cmd_bench(args) -> int:
     from . import bench
 
     try:
-        config = bench.ExperimentConfig(**json.loads(Path(args.config).read_text()))
+        given = json.loads(Path(args.config).read_text())
+        if not isinstance(given, dict):
+            raise ValueError("the config must be a JSON object")
+        unknown = [key for key in given if key not in bench.ExperimentConfig.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown config field {unknown[0]!r}")
+        config = bench.ExperimentConfig(**given)
     except OSError as exc:
         raise CliIoError(f"cannot read {args.config}: {exc}")
     except (RecursionError, TypeError, ValueError) as exc:  # RecursionError: nesting too deep

@@ -124,15 +124,10 @@ _add("cswap", 3, 0, _fixed(controlled(_SWAP, 1)))
 
 
 # Syntactic-equivalence classes: gates interchangeable without breaking the
-# call signature (same arity and parameter count).  `r` is alone in its class.
-EQUIVALENCE_CLASSES: tuple[frozenset[str], ...] = (
-    frozenset({"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg"}),
-    frozenset({"rx", "ry", "rz", "p"}),
-    frozenset({"r"}),
-    frozenset({"cx", "cy", "cz", "swap"}),
-    frozenset({"crx", "cry", "crz", "cp"}),
-    frozenset({"ccx", "cswap"}),
-)
+# call signature, one class per (arity, parameter count) in catalog order.
+EQUIVALENCE_CLASSES: tuple[frozenset[str], ...] = tuple(
+    frozenset(name for name, spec in CATALOG.items() if (spec.arity, spec.num_params) == sig)
+    for sig in dict.fromkeys((spec.arity, spec.num_params) for spec in CATALOG.values()))
 
 _CLASS_OF: dict[str, frozenset[str]] = {
     name: cls for cls in EQUIVALENCE_CLASSES for name in cls

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qut import gates
+from qut import circuit, gates
 from qut.circuit import (
     Circuit,
     GateApplication,
@@ -53,6 +53,13 @@ class TestGateApplication:
         m = np.diag([1 + 1e-6, 1]).astype(complex)
         with pytest.raises(ValueError, match="not unitary within 1e-10"):
             GateApplication("unitary", (0,), matrix=m)
+
+    def test_a_catalog_kind_takes_no_matrix(self):
+        # it applied h, wrote the identity as the gate's JSON "matrix", and
+        # did not read back structurally equal
+        with pytest.raises(ValueError, match="gate 'h' is a catalog kind and takes no matrix"):
+            GateApplication("h", (0,), (), matrix=np.eye(2))
+        assert GateApplication("h", (0,), (), matrix=None).matrix is None
 
     def test_inverse_of_rx_negates(self):
         g = GateApplication("rx", (0,), (0.4,))
@@ -193,6 +200,15 @@ class TestInverseHarness:
 
 
 class TestRandomCircuit:
+    def test_kinds_are_the_catalog_kinds_but_id(self):
+        # the hand-written table the kinds were until they were computed
+        # from the catalog, in catalog order
+        assert circuit._RANDOM_KINDS == {
+            1: ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "p", "r"),
+            2: ("cx", "cy", "cz", "swap", "crx", "cry", "crz", "cp"),
+            3: ("ccx", "cswap"),
+        }
+
     def test_deterministic(self):
         a = random_circuit(4, 6, seed=9)
         b = random_circuit(4, 6, seed=9)

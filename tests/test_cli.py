@@ -453,6 +453,29 @@ class TestSubcommands:
                        "--rgi-count", "0", "--out", str(out)) == 0
         assert capsys.readouterr().out == f"wrote 0 mutants to {out}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--operators", "qgd", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--operators", "rgi", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--operators", "qgd", "--fraction", "0.5", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("--rgi-count", "-1",), "rgi count must be >= 0, got -1"),
+    ])
+    def test_negative_seed_or_rgi_count_is_two_before_the_circuit_is_read(
+            self, files, tmp_path, monkeypatch, capsys, argv, message):
+        # qgd with seed -1 exited 0; rgi and a fraction below 1 exited 2 with
+        # numpy's "expected non-negative integer"; a negative count was
+        # refused only after qgr, qgd and qgi had run
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the circuit before checking the arguments")
+
+        monkeypatch.setattr("qut.cli._load_circuit", no_read)
+        out = tmp_path / "mutants"
+        assert run_cli("mutate", "--circuit", files["bell"], *argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "-1", "1.5", "nan", "inf"])
     def test_fraction_outside_the_unit_interval_is_two(self, files, tmp_path, capsys, fraction):
         # 1.5, nan and inf wrote every mutant and exited 0
@@ -638,15 +661,27 @@ class TestInputContract:
         pytest.param({"cap_factor": 10 ** 400},
                      f"cap_factor must be a positive finite number, got {10 ** 400}",
                      id="config10-cap_factor an integer past float range"),
+        ({"nope": 1}, "unknown config field 'nope'"),
+        ([1], "the config must be a JSON object"),
+        ("x", "the config must be a JSON object"),
+        (None, "the config must be a JSON object"),
     ])
     def test_mistyped_bench_config_is_three_with_its_reason(
             self, files, tmp_path, capsys, config, message):
         # "tests": [] used to end in "no rows to summarize" (exit 2), the
         # others ran: true as a cap factor of 1.0, "abc" or 1.5 mixed into
         # the seeds as text, "no" as a true record_timing, and 10 ** 400 as an
-        # infinite cap factor
+        # infinite cap factor.  An unknown key and a config that is not an
+        # object printed Python's call error.
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
-        assert self._bench(tmp_path, [pair], **config) == (3, False)
+        if isinstance(config, dict):
+            assert self._bench(tmp_path, [pair], **config) == (3, False)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            assert run_cli("bench", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "rows.csv")) == 3
+            assert not (tmp_path / "rows.csv").exists()
         assert capsys.readouterr().err == f"error: bad config: {message}\n"
 
     def test_cap_factor_past_the_absolute_cap(self, tmp_path):
@@ -669,6 +704,21 @@ class TestInputContract:
         assert self._bench(tmp_path, []) == (3, False)
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load corpus: ") and "holds no pairs" in err, err
+
+    @pytest.mark.parametrize("line, key", [
+        ([1], "pair_id"), ("x", "pair_id"), (None, "pair_id"),
+        ({"pair_id": "p1", "original": "bell.qasm"}, "mutant"),
+        ({"pair_id": "p1", "mutant": "bell.qasm"}, "original"),
+    ])
+    def test_corpus_line_without_a_pair_key_is_three_naming_the_line(
+            self, files, tmp_path, capsys, line, key):
+        # [1] printed "list indices must be integers or slices, not str", and
+        # a missing key printed only the key's repr
+        pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
+        assert self._bench(tmp_path, [pair, line]) == (3, False)
+        manifest = tmp_path / "corpus.jsonl"
+        assert capsys.readouterr().err == (f"error: cannot load corpus: {manifest} line 2 "
+                                           f"is not an object with the key {key!r}\n")
 
     def test_repeated_pair_id_is_rejected(self, files, tmp_path, capsys):
         # rows are keyed and ranked by pair_id, so two pairs may not share one

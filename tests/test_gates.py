@@ -74,6 +74,20 @@ def test_equivalence_classes_share_signature():
         assert len(arities) == 1 and len(nparams) == 1
 
 
+def test_equivalence_classes_are_the_catalog_signature_groups():
+    # the hand-written table the classes were until they were computed from
+    # the catalog: one class per (arity, parameter count), in catalog order
+    assert gates.EQUIVALENCE_CLASSES == (
+        frozenset({"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg"}),
+        frozenset({"rx", "ry", "rz", "p"}),
+        frozenset({"r"}),
+        frozenset({"cx", "cy", "cz", "swap"}),
+        frozenset({"crx", "cry", "crz", "cp"}),
+        frozenset({"ccx", "cswap"}),
+    )
+    assert all(gates.equivalence_class(name) for name in gates.CATALOG)
+
+
 def test_equivalence_class_lookup():
     assert set(gates.equivalence_class("h")) == {
         "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg"}

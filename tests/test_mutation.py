@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qut import gates
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.mutation import (
     RGI_ANGLE,
@@ -116,6 +117,68 @@ class TestRgi:
         b = mutate_rgi(c, seed=9, count=5)
         assert [(r.site, r.circuit.gates[r.site].targets) for r in a] == \
                [(r.site, r.circuit.gates[r.site].targets) for r in b]
+
+
+def _with_custom_gates(c: Circuit, seed: int) -> Circuit:
+    """`c` with up to three seeded random custom unitaries spliced in."""
+    rng = np.random.default_rng(seed)
+    built = list(c.gates)
+    for _ in range(int(rng.integers(4))):
+        k = int(rng.integers(1, min(c.num_qubits, 2) + 1))
+        z = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+        q, _ = np.linalg.qr(z)
+        targets = tuple(int(t) for t in rng.permutation(c.num_qubits)[:k])
+        built.insert(int(rng.integers(len(built) + 1)),
+                     GateApplication(gates.CUSTOM, targets, matrix=q))
+    return Circuit(c.num_qubits, tuple(built), c.name)
+
+
+def _same_gates(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class TestOneSplice:
+    """Every record of every operator is the original with one gate
+    replaced, deleted or inserted at `site`, named `<name>_<op>`."""
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_each_record_splices_one_gate_at_its_site(self, n, depth, seed, count):
+        c = _with_custom_gates(random_circuit(n, depth, seed), seed)
+        named = [g for g in c.gates if g.kind != gates.CUSTOM]
+        records = {
+            "QGR": (mutate_qgr(c), sum(len(gates.equivalence_class(g.kind)) - 1
+                                       for g in named)),
+            "QGD": (mutate_qgd(c), len(c.gates)),
+            "QGI": (mutate_qgi(c), sum(len(gates.equivalence_class(g.kind))
+                                       for g in named)),
+            "RGI": (mutate_rgi(c, seed, count), count),
+        }
+        for operator, (recs, expected_count) in records.items():
+            assert len(recs) == expected_count, operator
+            for r in recs:
+                m, i = r.circuit, r.site
+                assert r.operator == operator and r.fidelity_to_original is None
+                assert m.name == f"{c.name}_{operator.lower()}"
+                assert m.num_qubits == c.num_qubits
+                if operator == "QGD":
+                    assert r.replacement is None
+                    assert _same_gates(m.gates, c.gates[:i] + c.gates[i + 1:])
+                    continue
+                removed = 1 if operator == "QGR" else 0
+                assert _same_gates(m.gates[:i] + m.gates[i + 1:],
+                                   c.gates[:i] + c.gates[i + removed:])
+                new = m.gates[i]
+                assert new.kind == r.replacement
+                if operator == "RGI":
+                    assert new.params == (RGI_ANGLE, RGI_ANGLE) and len(new.targets) == 1
+                    continue
+                # the peer takes the place of gate i (QGR) or follows it (QGI)
+                old = c.gates[i] if operator == "QGR" else c.gates[i - 1]
+                assert (new.targets, new.params) == (old.targets, old.params)
+                assert new.kind in gates.equivalence_class(old.kind)
+                assert operator == "QGI" or new.kind != old.kind
 
 
 class TestFilterEquivalent:
