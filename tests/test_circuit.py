@@ -201,8 +201,8 @@ class TestInverseHarness:
 
 class TestRandomCircuit:
     def test_kinds_are_the_catalog_kinds_but_id(self):
-        # the hand-written table the kinds were until they were computed
-        # from the catalog, in catalog order
+        # computed from the catalog; every seeded circuit, and so
+        # RANDOM_CIRCUIT_DIGESTS, depends on these kinds and their order
         assert circuit._RANDOM_KINDS == {
             1: ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "p", "r"),
             2: ("cx", "cy", "cz", "swap", "crx", "cry", "crz", "cp"),

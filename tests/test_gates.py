@@ -75,8 +75,8 @@ def test_equivalence_classes_share_signature():
 
 
 def test_equivalence_classes_are_the_catalog_signature_groups():
-    # the hand-written table the classes were until they were computed from
-    # the catalog: one class per (arity, parameter count), in catalog order
+    # computed from the catalog, one class per (arity, parameter count) in
+    # catalog order; the QGR and QGI mutant sets depend on these classes
     assert gates.EQUIVALENCE_CLASSES == (
         frozenset({"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg"}),
         frozenset({"rx", "ry", "rz", "p"}),
