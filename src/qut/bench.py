@@ -29,6 +29,7 @@ from .simulator import _support, first_failing_shot, run_statevector, sample_fro
 from .testing import (
     _ENUM_CHUNK,
     ALL_TESTS,
+    ASYMPTOTIC_KINDS,
     MC_SEED_TAG,
     MultinomialIntractableError,
     failure_probability,
@@ -106,7 +107,7 @@ def min_shots_statistical(
         # integer counts held exactly in floats: the same values as one
         # cumsum over the whole stream
         counts = np.cumsum(one_hot, axis=0) + carried
-        if kind in ("chi2", "g_test"):
+        if kind in ASYMPTOTIC_KINDS:
             s = np.arange(start + 1, stop + 1, dtype=float)[:, None]
             stat = gof_statistic(counts, s * p_sup, kind)
             candidates = np.flatnonzero(stat > _critical_statistic(p_threshold, k - 1))
@@ -140,7 +141,8 @@ class ExperimentConfig:
         # strings where booleans are: each field is checked for its type
         if not isinstance(self.corpus, str):
             raise ValueError(f"corpus must be a path string, got {self.corpus!r}")
-        if not isinstance(self.tests, (list, tuple)):
+        if (not isinstance(self.tests, (list, tuple))
+                or not all(isinstance(test, str) for test in self.tests)):
             raise ValueError("tests must be a list of test names")
         if not self.tests:
             raise ValueError("tests must name at least one test")
@@ -202,9 +204,10 @@ class CorpusPair:
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
     paths relative to the manifest.  A line that is not an object with
-    those keys raises ValueError naming the line and the key, and so do a
-    repeated pair_id, since rows are keyed and ranked by it, a pair whose
-    original and mutant differ in width and a manifest with no pair."""
+    those keys, or whose paths are not strings, raises ValueError naming the
+    line and the key, and so do a repeated pair_id, since rows are keyed and
+    ranked by it, a pair whose original and mutant differ in width and a
+    manifest with no pair."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs, ids = [], set()
@@ -216,6 +219,9 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(
                     f"{manifest_path} line {number} is not an object with the key {key!r}")
+            if key != "pair_id" and not isinstance(entry[key], str):
+                raise ValueError(f"{manifest_path} line {number}: {key!r} must be a "
+                                 f"path string, got {entry[key]!r}")
         pair_id = str(entry["pair_id"])
         if pair_id in ids:
             raise ValueError(f"pair_id '{pair_id}' appears twice")

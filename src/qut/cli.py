@@ -124,8 +124,7 @@ def _cmd_mutate(args) -> int:
         records += (mutate(circuit, args.seed, count=args.rgi_count) if op == "rgi"
                     else mutate(circuit))
     records = mutation.filter_equivalent(circuit, records)
-    if args.fraction < 1.0:
-        records = mutation.sample_mutants(records, args.fraction, args.seed)
+    records = mutation.sample_mutants(records, args.fraction, args.seed)
 
     out_dir = Path(args.out)
     manifest_lines = []

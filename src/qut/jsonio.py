@@ -56,10 +56,6 @@ def _matrix_from_json(raw, num_targets: int) -> np.ndarray:
     return m
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -134,7 +130,8 @@ def circuit_to_dict(c: Circuit) -> dict:
         entry: dict = {"kind": g.kind, "targets": list(g.targets),
                        "params": list(g.params)}
         if g.matrix is not None:
-            entry["matrix"] = _matrix_to_json(g.matrix)
+            entry["matrix"] = [[[float(v.real), float(v.imag)] for v in row]
+                               for row in g.matrix]
         out_gates.append(entry)
     return {"num_qubits": c.num_qubits, "name": c.name, "gates": out_gates}
 

@@ -57,14 +57,14 @@ _TOKENS = rf"\s*({_TOKEN}|\S.*)"
 # reaching its digit limit.
 _INDEX = r"\s*\[\s*(\d{1,9})\s*\]\s*"
 
-# A statement's head; its parameter text, when that holds no parentheses,
-# either as one signed numeric literal, which float() reads exactly as the
-# evaluator would, or as any other text; and the rest: one to three plain
-# arguments of one register, as its name and their indices, when that is all
-# it holds, else as text, which may also be a parameter list with nested
-# parentheses.  It takes nearly 1 ms to compile, so `parse_qasm` compiles it
-# on first use, through re's cache, and importing qut does not pay for it.
-_STATEMENT = (rf"\s*({_NAME})\s*(?:\((?:\s*({_NUMBER})\s*|([^()]*))\))?(?:\s*(?P<reg>{_NAME})"
+# A statement's head; its parameter list, when that is one signed numeric
+# literal, which float() reads exactly as the evaluator would; and the rest:
+# one to three plain arguments of one register, as its name and their
+# indices, when that is all it holds, else as text, which starts with any
+# other parameter list, read by matching parentheses.  It takes nearly 1 ms
+# to compile, so `parse_qasm` compiles it on first use, through re's cache,
+# and importing qut does not pay for it.
+_STATEMENT = (rf"\s*({_NAME})\s*(?:\(\s*({_NUMBER})\s*\))?(?:\s*(?P<reg>{_NAME})"
               rf"{_INDEX}(?:,\s*(?P=reg){_INDEX}(?:,\s*(?P=reg){_INDEX})?)?\Z|(.*))")
 _ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
 
@@ -163,9 +163,9 @@ def _parameters(text: str, closer: str) -> tuple[float, ...]:
 
 
 def _nested_parameters(rest: str) -> tuple[tuple[float, ...], str]:
-    """Parameters of a list with nested parentheses, which `rest` opens, and
-    the argument text after its closing ')'.  Without one, the list runs to
-    the statement's end and is always an error."""
+    """Parameters of the list that `rest` opens, which may hold parentheses,
+    and the argument text after its matching ')'.  Without one, the list
+    runs to the statement's end and is always an error."""
     depth = 0
     for i, ch in enumerate(rest):
         depth += (ch == "(") - (ch == ")")
@@ -235,7 +235,7 @@ def parse_qasm(
     """Parse a QASM subset program into a Circuit.
 
     Reads one ';'-terminated statement at a time: one regex splits it into
-    head, parameter text and arguments; a parameter that is a numeric
+    head, parameters and arguments; a parameter list that is one numeric
     literal goes to float(), any other to the expression evaluator.  A line
     number is worked out only for a diagnostic.  Warnings (e.g. stripped
     measurements) are appended to `diagnostics` when a list is supplied.
@@ -269,7 +269,7 @@ def parse_qasm(
             if m is None:
                 head = re.match(_TOKENS, stmt)
                 raise _StatementError(f"unknown gate name '{head[1] if head else ';'}'")
-            head, literal, param_text, reg, index0, index1, index2, args = m.groups()
+            head, literal, reg, index0, index1, index2, args = m.groups()
             if head not in gates.CATALOG:
                 if head == "qreg" or head == "creg":
                     rest = stmt[m.end(1):]
@@ -303,8 +303,6 @@ def parse_qasm(
                 params = (float(literal),)
                 if not isfinite(params[0]):
                     raise _StatementError(f"parameter expression evaluates to {params[0]}")
-            elif param_text is not None:
-                params = _parameters(param_text, ")")
             elif args is not None and args.startswith("("):
                 params, args = _nested_parameters(args)
             else:
@@ -335,10 +333,6 @@ def parse_qasm(
     return Circuit(num_qubits, tuple(built))
 
 
-def _format_param(value: float) -> str:
-    return format(value, ".17g")
-
-
 def emit_qasm(c: Circuit) -> str:
     """Deterministic QASM text; parameters keep full 64-bit precision."""
     lines = ["OPENQASM 2.0;", "include \"qelib1.inc\";", f"qreg q[{c.num_qubits}];"]
@@ -347,7 +341,7 @@ def emit_qasm(c: Circuit) -> str:
             raise ValueError("custom-matrix gates are not expressible in QASM")
         param_txt = ""
         if g.params:
-            param_txt = "(" + ",".join(_format_param(p) for p in g.params) + ")"
+            param_txt = "(" + ",".join(format(p, ".17g") for p in g.params) + ")"
         args = ",".join(f"q[{t}]" for t in g.targets)
         lines.append(f"{g.kind}{param_txt} {args};")
     return "\n".join(lines) + "\n"

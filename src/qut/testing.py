@@ -40,6 +40,7 @@ from .simulator import (
 )
 
 STAT_KINDS = ("chi2", "g_test", "multinomial")
+ASYMPTOTIC_KINDS = ("chi2", "g_test")  # the kinds whose p-value is a chi-square tail
 MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
 ALL_TESTS = STAT_KINDS + MC_KINDS + ("swap", "inverse", "statevector")
 
@@ -174,12 +175,9 @@ def statistical_p_value(
     p = probs[support] / probs[support].sum()
     shots = int(counts.sum())
     expected_counts = shots * p
-    if kind in ("chi2", "g_test"):
-        stat = gof_statistic(obs, expected_counts, kind)
-        return float(chdtrc(len(p) - 1, max(stat, 0.0)))
     if kind == "multinomial":
         return exact_multinomial_p_value(obs.astype(np.int64), p)
-    if kind not in MC_KINDS:
+    if kind not in ASYMPTOTIC_KINDS + MC_KINDS:
         raise ValueError(f"unknown statistical kind '{kind}'")
 
     def score(rows: np.ndarray) -> np.ndarray:  # lower = more extreme
@@ -188,6 +186,8 @@ def statistical_p_value(
         stat = gof_statistic(rows, expected_counts, kind)
         return chdtrc(len(p) - 1, np.maximum(stat, 0.0))
 
+    if kind in ASYMPTOTIC_KINDS:
+        return float(score(obs))
     # successive draws continue one generator's stream: the rows of one big draw
     rng = np.random.default_rng(mc_seed)
     threshold = score(obs[None, :])[0] + 1e-12
@@ -230,7 +230,7 @@ def statistical_test(
     p = statistical_p_value(counts, target.probabilities(), kind, mc_reps,
                             [seed, MC_SEED_TAG])
     warns = ()
-    if kind in ("chi2", "g_test") and shots < PEARSON_MIN_SHOTS:
+    if kind in ASYMPTOTIC_KINDS and shots < PEARSON_MIN_SHOTS:
         warns = (f"fewer than {PEARSON_MIN_SHOTS} observations; "
                  "the asymptotic p-value is unreliable",)
     return TestVerdict("pass" if p >= p_threshold else "fail", p_value=p,

@@ -665,6 +665,10 @@ class TestInputContract:
         ([1], "the config must be a JSON object"),
         ("x", "the config must be a JSON object"),
         (None, "the config must be a JSON object"),
+        # the first printed "unhashable type: 'list'", the second "'<' not
+        # supported between instances of 'str' and 'int'"
+        ({"tests": [[1]]}, "tests must be a list of test names"),
+        ({"tests": [1, "x"]}, "tests must be a list of test names"),
     ])
     def test_mistyped_bench_config_is_three_with_its_reason(
             self, files, tmp_path, capsys, config, message):
@@ -709,16 +713,22 @@ class TestInputContract:
         ([1], "pair_id"), ("x", "pair_id"), (None, "pair_id"),
         ({"pair_id": "p1", "original": "bell.qasm"}, "mutant"),
         ({"pair_id": "p1", "mutant": "bell.qasm"}, "original"),
+        ({"pair_id": "p1", "original": 1, "mutant": "bell.qasm"}, "original"),
+        ({"pair_id": "p1", "original": "bell.qasm", "mutant": ["a"]}, "mutant"),
     ])
     def test_corpus_line_without_a_pair_key_is_three_naming_the_line(
             self, files, tmp_path, capsys, line, key):
-        # [1] printed "list indices must be integers or slices, not str", and
-        # a missing key printed only the key's repr
+        # [1] printed "list indices must be integers or slices, not str", a
+        # missing key printed only the key's repr, and a path that is not a
+        # string "unsupported operand type(s) for /: 'PosixPath' and 'int'"
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
         assert self._bench(tmp_path, [pair, line]) == (3, False)
         manifest = tmp_path / "corpus.jsonl"
-        assert capsys.readouterr().err == (f"error: cannot load corpus: {manifest} line 2 "
-                                           f"is not an object with the key {key!r}\n")
+        reason = (f": {key!r} must be a path string, got {line[key]!r}"
+                  if isinstance(line, dict) and key in line
+                  else f" is not an object with the key {key!r}")
+        assert capsys.readouterr().err == (
+            f"error: cannot load corpus: {manifest} line 2{reason}\n")
 
     def test_repeated_pair_id_is_rejected(self, files, tmp_path, capsys):
         # rows are keyed and ranked by pair_id, so two pairs may not share one

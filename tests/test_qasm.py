@@ -264,12 +264,17 @@ _SPACES = st.sampled_from(["", " ", "\t", "\n", " \r\n  "])
 
 
 def spaced_text(draw, c: Circuit) -> str:
-    """`c`'s program with drawn whitespace wherever the grammar allows it, an
-    empty parameter list on some gates without parameters and leading zeros
-    on some indices (twelve of them make an index too long for the
+    """`c`'s program with drawn whitespace wherever the grammar allows it,
+    each parameter written as x, (x), +x or -(-x), which all read back as x,
+    an empty parameter list on some gates without parameters and leading
+    zeros on some indices (twelve of them make an index too long for the
     statement match to read)."""
     def space(required=False):
         return draw(_SPACES) or (" " if required else "")
+
+    def param(value):
+        form = draw(st.sampled_from(["{}", "({})", "+{}", "-(-{})"]))
+        return space() + form.format(repr(value)) + space()
 
     def argument(index):
         zeros = "0" * draw(st.sampled_from([0, 0, 1, 12]))
@@ -279,7 +284,7 @@ def spaced_text(draw, c: Circuit) -> str:
                   f"{space()}qreg {argument(c.num_qubits)};"]
     for g in c.gates:
         if g.params:
-            head = f"{g.kind}{space()}({','.join(space() + repr(p) + space() for p in g.params)})"
+            head = f"{g.kind}{space()}({','.join(param(p) for p in g.params)})"
         elif draw(st.booleans()):
             head = f"{g.kind}{space()}({space()})"
         else:
