@@ -204,10 +204,10 @@ class CorpusPair:
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
     paths relative to the manifest.  A line that is not an object with
-    those keys, or whose paths are not strings, raises ValueError naming the
-    line and the key, and so do a repeated pair_id, since rows are keyed and
-    ranked by it, a pair whose original and mutant differ in width and a
-    manifest with no pair."""
+    those keys, or whose paths are not non-empty strings, raises ValueError
+    naming the line and the key, and so do a repeated pair_id, since rows
+    are keyed and ranked by it, a pair whose original and mutant differ in
+    width and a manifest with no pair."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs, ids = [], set()
@@ -219,7 +219,7 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(
                     f"{manifest_path} line {number} is not an object with the key {key!r}")
-            if key != "pair_id" and not isinstance(entry[key], str):
+            if key != "pair_id" and (not isinstance(entry[key], str) or not entry[key]):
                 raise ValueError(f"{manifest_path} line {number}: {key!r} must be a "
                                  f"path string, got {entry[key]!r}")
         pair_id = str(entry["pair_id"])

@@ -44,7 +44,7 @@ class QasmError(ValueError):
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _NUMBER = rf"[+-]?{_UNSIGNED}"
 _TOKEN = rf"{_NAME}|{_UNSIGNED}|->|[()\[\],;+\-*/]"
 # The catch-all takes the rest of the line from a character that starts no
@@ -57,14 +57,15 @@ _TOKENS = rf"\s*({_TOKEN}|\S.*)"
 # reaching its digit limit.
 _INDEX = r"\s*\[\s*(\d{1,9})\s*\]\s*"
 
-# A statement's head; its parameter list, when that is one signed numeric
-# literal, which float() reads exactly as the evaluator would; and the rest:
-# one to three plain arguments of one register, as its name and their
-# indices, when that is all it holds, else as text, which starts with any
-# other parameter list, read by matching parentheses.  It takes nearly 1 ms
-# to compile, so `parse_qasm` compiles it on first use, through re's cache,
-# and importing qut does not pay for it.
-_STATEMENT = (rf"\s*({_NAME})\s*(?:\(\s*({_NUMBER})\s*\))?(?:\s*(?P<reg>{_NAME})"
+# A statement's head; its parameter list, when that is ','-separated signed
+# numeric literals, which float() reads exactly as the evaluator would (each
+# matches one way only, so a list that fails does not backtrack through the
+# splits of its digits); and the rest: one to three plain arguments of one
+# register, as its name and their indices, when that is all it holds, else as
+# text, which starts with any other parameter list, read by matching
+# parentheses.  It takes nearly 1 ms to compile, so `parse_qasm` compiles it
+# on first use, through re's cache, and importing qut does not pay for it.
+_STATEMENT = (rf"\s*({_NAME})\s*(?:\(\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\))?(?:\s*(?P<reg>{_NAME})"
               rf"{_INDEX}(?:,\s*(?P=reg){_INDEX}(?:,\s*(?P=reg){_INDEX})?)?\Z|(.*))")
 _ARGUMENT_RE = re.compile(rf"\s*({_NAME})\s*\[\s*(\d+)\s*\]\s*")
 
@@ -235,8 +236,8 @@ def parse_qasm(
     """Parse a QASM subset program into a Circuit.
 
     Reads one ';'-terminated statement at a time: one regex splits it into
-    head, parameters and arguments; a parameter list that is one numeric
-    literal goes to float(), any other to the expression evaluator.  A line
+    head, parameters and arguments; a parameter list of numeric literals
+    goes to float(), any other to the expression evaluator.  A line
     number is worked out only for a diagnostic.  Warnings (e.g. stripped
     measurements) are appended to `diagnostics` when a list is supplied.
     Errors raise QasmError: of several, a character that starts no token is
@@ -300,9 +301,11 @@ def parse_qasm(
             if qreg_name is None:
                 raise _StatementError("gate application before qreg declaration")
             if literal is not None:
-                params = (float(literal),)
-                if not isfinite(params[0]):
-                    raise _StatementError(f"parameter expression evaluates to {params[0]}")
+                params = (float(literal),) if "," not in literal else tuple(
+                    map(float, literal.split(",")))
+                for value in params:
+                    if not isfinite(value):
+                        raise _StatementError(f"parameter expression evaluates to {value}")
             elif args is not None and args.startswith("("):
                 params, args = _nested_parameters(args)
             else:

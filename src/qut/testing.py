@@ -39,8 +39,8 @@ from .simulator import (
     run_statevector,
 )
 
-STAT_KINDS = ("chi2", "g_test", "multinomial")
 ASYMPTOTIC_KINDS = ("chi2", "g_test")  # the kinds whose p-value is a chi-square tail
+STAT_KINDS = ASYMPTOTIC_KINDS + ("multinomial",)
 MC_KINDS = ("mc_chi2", "mc_g", "mc_multinomial")
 ALL_TESTS = STAT_KINDS + MC_KINDS + ("swap", "inverse", "statevector")
 

@@ -715,12 +715,14 @@ class TestInputContract:
         ({"pair_id": "p1", "mutant": "bell.qasm"}, "original"),
         ({"pair_id": "p1", "original": 1, "mutant": "bell.qasm"}, "original"),
         ({"pair_id": "p1", "original": "bell.qasm", "mutant": ["a"]}, "mutant"),
+        ({"pair_id": "p1", "original": "", "mutant": "bell.qasm"}, "original"),
     ])
     def test_corpus_line_without_a_pair_key_is_three_naming_the_line(
             self, files, tmp_path, capsys, line, key):
         # [1] printed "list indices must be integers or slices, not str", a
-        # missing key printed only the key's repr, and a path that is not a
-        # string "unsupported operand type(s) for /: 'PosixPath' and 'int'"
+        # missing key printed only the key's repr, a path that is not a
+        # string "unsupported operand type(s) for /: 'PosixPath' and 'int'",
+        # and an empty path "[Errno 21] Is a directory: '.'"
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}
         assert self._bench(tmp_path, [pair, line]) == (3, False)
         manifest = tmp_path / "corpus.jsonl"

@@ -154,6 +154,13 @@ REJECTED = [
      3, 1, "parameter expression evaluates to inf"),
     ("overflowing product", HEADER + "qreg q[1];\nrz(1e300*-1e300) q[0];\n",
      3, 1, "parameter expression evaluates to -inf"),
+    ("overflowing second literal", HEADER + "qreg q[1];\nr(1, -1e400) q[0];\n",
+     3, 1, "parameter expression evaluates to -inf"),
+    # each literal matches one way, so this list fails in linear time; a
+    # pattern with ten ways per literal would try 10^40 splits
+    ("unclosed list of long literals",
+     HEADER + "qreg q[1];\nr(" + ",".join(["1234567890"] * 40) + " q[0];\n",
+     3, 1, "unexpected token 'q' in gate parameters"),
     ("two decimal points", HEADER + "qreg q[1];\nrz(1.5.5) q[0];\n",
      3, 1, "unexpected token '.5' in gate parameters"),
     ("gate before qreg", HEADER + "h q[0];\nqreg q[1];\n",
@@ -231,6 +238,8 @@ ACCEPTED = [
      "rz(+2) q[0];\nrz(2.5E+2) q[0];\n",
      1, (("rz", (0,), (1.0,)), ("rz", (0,), (0.5,)), ("rz", (0,), (0.001,)),
          ("rz", (0,), (-3.141592653589793,)), ("rz", (0,), (2.0,)), ("rz", (0,), (250.0,))), ()),
+    ("literal lists", HEADER + "qreg q[1];\nr(1.5, -2e-3) q[0];\nr( .5 ,\n+7 ) q[0];\n",
+     1, (("r", (0,), (1.5, -0.002)), ("r", (0,), (0.5, 7.0))), ()),
     ("expressions",
      HEADER + "qreg q[2];\nr(-pi/2 + 1*0.5, 2*(pi - 3)) q[0];\ncrz(--1) q[1],q[0];\n"
      "rx(((pi))/4) q[1];\n",
