@@ -75,12 +75,11 @@ def min_shots_statistical(
     expected_probs: np.ndarray,
     kind: str,
     p_threshold: float,
-    cap: int,
     seed: int = 0,
     mc_reps: int = 1000,
 ) -> int | None:
-    """Minimal prefix length S <= cap of the realized stream whose
-    `statistical_p_value` is below p_t, or None (NotDetected).
+    """Minimal prefix length S of the realized stream, whose length is the
+    cap, with `statistical_p_value` below p_t, or None (NotDetected).
 
     The p-value is not monotone in S, so the prefixes are scanned in order,
     in blocks of growing length, up to the first crossing; a Monte Carlo
@@ -89,15 +88,14 @@ def min_shots_statistical(
     p = 1, and a chi2 or G statistic at most `_critical_statistic` has a
     tail above p_t.  The first out-of-support sample ends the scan, with p = 0.
     """
-    values = stream_values[:cap]
     support = _support(expected_probs)
-    outside = np.flatnonzero(~support[values])
-    horizon = int(outside[0]) if outside.size else len(values)
+    outside = np.flatnonzero(~support[stream_values])
+    horizon = int(outside[0]) if outside.size else len(stream_values)
     k = int(support.sum())
     probs = expected_probs[support]
     p_sup = probs / probs.sum()
     # remap in-support basis states to compact category indices
-    cats = (np.cumsum(support) - 1)[values[:horizon]]
+    cats = (np.cumsum(support) - 1)[stream_values[:horizon]]
     carried = np.zeros(k)
     start, rows = 0, _FIRST_BLOCK_ROWS
     while k >= 2 and start < horizon:
@@ -120,7 +118,7 @@ def min_shots_statistical(
                 return shots
         carried = counts[-1]
         start, rows = stop, 2 * rows
-    return horizon + 1 if horizon < len(values) else None
+    return horizon + 1 if horizon < len(stream_values) else None
 
 
 @dataclass(frozen=True)
@@ -203,9 +201,9 @@ class CorpusPair:
 
 def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     """Corpus manifest: JSON lines of {pair_id, original, mutant} with file
-    paths relative to the manifest.  A line that is not an object with
-    those keys, or whose paths are not non-empty strings, raises ValueError
-    naming the line and the key, and so do a repeated pair_id, since rows
+    paths relative to the manifest.  A line that is not JSON, not an object
+    with those keys, or whose paths are not non-empty strings, raises
+    ValueError naming the line, and so do a repeated pair_id, since rows
     are keyed and ranked by it, a pair whose original and mutant differ in
     width and a manifest with no pair."""
     manifest_path = Path(manifest_path)
@@ -214,7 +212,11 @@ def load_corpus(manifest_path: str | Path) -> list[CorpusPair]:
     for number, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        entry = json.loads(line)
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path} line {number} is not valid JSON: "
+                             f"{exc.msg} at column {exc.colno}") from None
         for key in ("pair_id", "original", "mutant"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(
@@ -244,7 +246,6 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
     no shot plan, gets one error row per test.
     The sampled rows of each repetition are dense-ranked together by their
     first detecting shot; error rows carry no rank."""
-    rows: list[ExperimentRow] = []
     original_state = run_statevector(pair.original)
     mutant_state = run_statevector(pair.mutant)
     start = time.perf_counter()
@@ -259,47 +260,43 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
     cap = math.ceil(min(config.cap_factor * estimate.shots,
                         config.shot_cap_absolute))
 
+    def row(test, rep, seed, outcome="error", shots_used=0, rank=None, elapsed_ms=0):
+        return ExperimentRow(pair.pair_id, test, rep, seed, outcome, shots_used,
+                             estimate.shots, rank,
+                             elapsed_ms if config.record_timing else 0)
+
     expected_probs = original_state.probabilities()
     mutant_probs = mutant_state.probabilities()
-    if "statevector" in config.tests:
-        rows.append(ExperimentRow(
-            pair.pair_id, "statevector", 0,
-            mix_seed(config.base_seed, pair.pair_id, "statevector", 0),
-            verdict.outcome, 0, estimate.shots,
-            wall_time_ms=verdict_ms if config.record_timing else 0,
-        ))
+    rows: list[ExperimentRow] = []
     sampled = [t for t in config.tests if t != "statevector"]
     for rep in range(config.repetitions):
         # (test, seed, first detecting shot or None, ms) of each ranked row
         measured = []
-        for test in sampled:
+        for test in config.tests if rep == 0 else sampled:
             seed = mix_seed(config.base_seed, pair.pair_id, test, rep)
+            if test == "statevector":
+                rows.append(row(test, rep, seed, verdict.outcome,
+                                elapsed_ms=verdict_ms))
+                continue
             start = time.perf_counter()
             if test in ("swap", "inverse"):
                 found = first_failing_shot(failure_probability(test, estimate.sigma11),
                                            cap, seed)
             else:
-                values = sample_from_probs(mutant_probs, cap, seed)
                 try:
                     found = min_shots_statistical(
-                        values, expected_probs, test, config.p_t, cap,
-                        seed=seed, mc_reps=config.mc_reps,
-                    )
+                        sample_from_probs(mutant_probs, cap, seed), expected_probs,
+                        test, config.p_t, seed=seed, mc_reps=config.mc_reps)
                 except MultinomialIntractableError:
-                    rows.append(ExperimentRow(
-                        pair.pair_id, test, rep, seed, "error", 0,
-                        estimate.shots))
+                    rows.append(row(test, rep, seed))
                     continue
             elapsed = int((time.perf_counter() - start) * 1000)
             measured.append((test, seed, found, elapsed))
         ranks = dense_rank([found for _, _, found, _ in measured])
         for (test, seed, found, elapsed), rank in zip(measured, ranks):
-            rows.append(ExperimentRow(
-                pair.pair_id, test, rep, seed,
-                "fail" if found is not None else "not_detected",
-                found if found is not None else cap, estimate.shots, rank,
-                elapsed if config.record_timing else 0,
-            ))
+            # a first detecting shot is at least 1
+            rows.append(row(test, rep, seed, "not_detected" if found is None else "fail",
+                            found or cap, rank, elapsed))
     return rows
 
 

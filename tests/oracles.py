@@ -1,6 +1,7 @@
 """Helpers that only the tests call: random states, pure-state density
-matrices and single-qubit marginal sampling, the oracles that the acceptance
-criteria and unit tests check qut's laws against.
+matrices, single-qubit marginal sampling and an independent Chernoff-bound
+minimum, the oracles that the acceptance criteria and unit tests check qut's
+laws against.
 
 Each draws only from the generator or seed it is given, so the criteria
 that use them draw fixed streams.
@@ -9,6 +10,7 @@ that use them draw fixed streams.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from qut.circuit import Circuit
 from qut.core import DensityMatrix, StateVector
@@ -46,3 +48,20 @@ def marginal_sample(c: Circuit, qubit: int, shots: int, seed: int) -> np.ndarray
         p1 = 0.0
     rng = np.random.default_rng(seed)
     return (rng.random(shots) < p1).astype(np.int64)
+
+
+def qcb_minimum(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:
+    """(min_s Tr(rho^s sigma^(1-s)), argmin s) over s in [0, 1] for full-rank
+    rho and sigma, from one eigendecomposition of each: the trace is
+    sum_ij a_i^s b_j^(1-s) |<u_i|v_j>|^2.  SciPy's bounded scalar search
+    gives the interior minimum, which is compared with both endpoints."""
+    a, u = np.linalg.eigh(rho.entries)
+    b, v = np.linalg.eigh(sigma.entries)
+    overlap = np.abs(u.conj().T @ v) ** 2
+
+    def trace(s: float) -> float:
+        return float(a ** s @ overlap @ b ** (1.0 - s))
+
+    found = minimize_scalar(trace, bounds=(0.0, 1.0), method="bounded",
+                            options={"xatol": 1e-10})
+    return min((trace(0.0), 0.0), (trace(1.0), 1.0), (float(found.fun), float(found.x)))

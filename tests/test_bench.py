@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -102,7 +105,7 @@ class TestMinShots:
             vals = sample_from_probs(mutant_probs, cap, seed)
             for kind in ("chi2", "g_test", "mc_chi2"):
                 fast = bench.min_shots_statistical(
-                    vals, probs, kind, 0.05, cap, seed=seed, mc_reps=200)
+                    vals, probs, kind, 0.05, seed=seed, mc_reps=200)
                 slow = self._naive(vals, probs, kind, 0.05, cap, seed)
                 assert fast == slow, (trial, kind)
 
@@ -119,7 +122,7 @@ class TestMinShots:
             for kind, cap in (("mc_g", 128), ("multinomial", 24 // k)):
                 vals = sample_from_probs(mutant_probs, cap, seed)
                 fast = bench.min_shots_statistical(
-                    vals, probs, kind, 0.05, cap, seed=seed, mc_reps=200)
+                    vals, probs, kind, 0.05, seed=seed, mc_reps=200)
                 assert fast == self._naive(vals, probs, kind, 0.05, cap,
                                            seed), (trial, kind)
                 found.add((kind, fast is None))
@@ -149,7 +152,7 @@ class TestMinShots:
                 cap = len(vals)
                 assert self._naive(vals, probs, kind, p_t, cap, 0) == target
                 assert bench.min_shots_statistical(
-                    vals, probs, kind, p_t, cap) == target, (target, kind)
+                    vals, probs, kind, p_t) == target, (target, kind)
 
     def test_dense_pair_over_element_capped_blocks(self, monkeypatch):
         # 6 qubits, 64 outcomes: with 16 rows per block every block is
@@ -168,7 +171,7 @@ class TestMinShots:
             for kind in ("chi2", "g_test"):
                 for p_t in (0.05, 1e-3):
                     fast = bench.min_shots_statistical(vals, expected, kind,
-                                                       p_t, cap)
+                                                       p_t)
                     assert fast == self._naive(vals, expected, kind, p_t,
                                                cap, 0), (kind, p_t)
                     found.append(fast)
@@ -186,7 +189,7 @@ class TestMinShots:
                 cap = len(vals)
                 assert self._naive(vals, probs, kind, p_t, cap, 0) == want
                 assert bench.min_shots_statistical(
-                    vals, probs, kind, p_t, cap) == want, (kind, position)
+                    vals, probs, kind, p_t) == want, (kind, position)
 
     def test_single_outcome_support(self):
         # K = 1: every in-support prefix has p = 1, so only an
@@ -199,7 +202,7 @@ class TestMinShots:
             for vals, want in ((inside, None), (outside_at_401, 401)):
                 assert self._naive(vals, probs, kind, 0.05, 600, 0) == want
                 assert bench.min_shots_statistical(
-                    vals, probs, kind, 0.05, 600) == want, kind
+                    vals, probs, kind, 0.05) == want, kind
 
     def test_critical_value_margin(self):
         # a statistic at or below the critical value must have sf > p_t,
@@ -226,7 +229,7 @@ class TestMinShots:
                 tracemalloc.start()
                 try:
                     found = bench.min_shots_statistical(vals, expected, kind,
-                                                        1e-6, cap)
+                                                        1e-6)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -236,15 +239,14 @@ class TestMinShots:
     def test_orthogonal_pair_small(self):
         probs = np.array([1.0, 0.0])
         vals = sample_from_probs(np.array([0.0, 1.0]), 100, seed=0)
-        found = bench.min_shots_statistical(vals, probs, "chi2", 0.05, 100)
+        found = bench.min_shots_statistical(vals, probs, "chi2", 0.05)
         assert found is not None and found <= 13
 
     def test_near_equivalent_not_detected(self):
         probs = np.array([0.5, 0.5])
         vals = sample_from_probs(probs, 64, seed=5)
         # identical distribution rarely crosses in 64 shots with this seed
-        found = bench.min_shots_statistical(vals, probs, "chi2", 1e-6, 64,
-                                            seed=5)
+        found = bench.min_shots_statistical(vals, probs, "chi2", 1e-6, seed=5)
         assert found is None
 
     @settings(max_examples=120, deadline=None)
@@ -276,7 +278,7 @@ class TestMinShots:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bench, "_ENUM_CHUNK", block_elements)
             patch.setattr(bench, "_FIRST_BLOCK_ROWS", first_rows)
-            fast = bench.min_shots_statistical(vals, probs, kind, p_t, cap,
+            fast = bench.min_shots_statistical(vals[:cap], probs, kind, p_t,
                                                seed=seed, mc_reps=30)
         assert fast == self._naive(vals, probs, kind, p_t, cap, seed, mc_reps=30)
 
@@ -293,7 +295,7 @@ class TestMinShots:
         monkeypatch.setattr(bench, "statistical_p_value", spy)
         probs = np.array([0.5, 0.5])
         vals, p_t = self._crossing_stream(300, "chi2", probs)
-        assert bench.min_shots_statistical(vals, probs, "chi2", p_t, len(vals)) == 300
+        assert bench.min_shots_statistical(vals, probs, "chi2", p_t) == 300
         assert asked[-1][0] == 300 and asked[-1][1] < p_t
 
 
@@ -480,6 +482,26 @@ class TestRunBenchmark:
         assert [(r.verdict, r.rank) for r in rows if r.test == "swap"] == [("fail", 1)] * 2
         assert [r.seed for r in rows if r.test == "multinomial"] == [
             bench.mix_seed(0, "p", "multinomial", rep) for rep in range(2)]
+
+    def test_wall_time_is_kept_only_when_recorded(self, monkeypatch):
+        # a clock that reads 1/128 s later at each reading: every timed row
+        # takes 7.8125 ms, and an error row has no time
+        ticks = itertools.count()
+        monkeypatch.setattr(bench, "time",
+                            types.SimpleNamespace(perf_counter=lambda: next(ticks) / 128))
+        original = Circuit(6, tuple(GateApplication("h", (q,)) for q in range(6)))
+        pair = bench.CorpusPair("p", original,
+                                original.appended(GateApplication("rz", (0,), (0.3,))))
+        timed = {}
+        for record in (False, True):
+            config = bench.ExperimentConfig(tests=("multinomial", "swap", "statevector"),
+                                            repetitions=2, p_t=1e-6, record_timing=record)
+            timed[record] = bench.run_benchmark([pair], config)
+        assert [(r.test, r.wall_time_ms) for r in timed[True]] == [
+            ("multinomial", 0), ("multinomial", 0), ("statevector", 7),
+            ("swap", 7), ("swap", 7)]
+        assert timed[False] == [dataclasses.replace(r, wall_time_ms=0)
+                                for r in timed[True]]
 
     def test_pairs_passing_the_statevector_test_are_errors(self):
         # one error row per test, whatever sigma_11 rounds to: h against

@@ -80,6 +80,7 @@ class TestCircuit:
         c = bell()
         c2 = c.appended(GateApplication("x", (0,)))
         assert len(c.gates) == 2 and len(c2.gates) == 3
+        assert (len(c), len(c2), len(Circuit(2))) == (2, 3, 0)
 
     def test_structural_equality(self):
         assert bell().structurally_equal(bell())

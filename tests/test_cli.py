@@ -732,6 +732,23 @@ class TestInputContract:
         assert capsys.readouterr().err == (
             f"error: cannot load corpus: {manifest} line 2{reason}\n")
 
+    def test_corpus_line_that_is_not_json_is_three_naming_the_line(
+            self, files, tmp_path, capsys):
+        # this printed only the decoder's position inside the line, "line 1
+        # column 59 (char 58)", naming neither the manifest nor its line
+        pair = json.dumps({"pair_id": "p0", "original": files["bell"],
+                           "mutant": files["broken"]})
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_text(f"{pair}\n{pair[:-1]}\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": str(manifest)}))
+        out_csv = tmp_path / "rows.csv"
+        assert run_cli("bench", "--config", str(cfg_path), "--out", str(out_csv)) == 3
+        assert not out_csv.exists()
+        assert capsys.readouterr().err == (
+            f"error: cannot load corpus: {manifest} line 2 is not valid JSON: "
+            f"Expecting ',' delimiter at column {len(pair)}\n")
+
     def test_repeated_pair_id_is_rejected(self, files, tmp_path, capsys):
         # rows are keyed and ranked by pair_id, so two pairs may not share one
         pair = {"pair_id": "p0", "original": files["bell"], "mutant": files["broken"]}

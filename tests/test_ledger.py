@@ -205,5 +205,10 @@ def test_line_delta_sums_numstat_lines():
                "5\t16\tsrc/qut/circuit.py\n"
                "-\t-\tsrc/qut/logo.png\n"
                "0\t7\tsrc/qut/old name.py\n")
-    assert ledger.line_delta(numstat) == {"added": 15, "deleted": 36, "net": -21}
-    assert ledger.line_delta("") == {"added": 0, "deleted": 0, "net": 0}
+    assert ledger.line_delta(numstat) == {
+        "added": 15, "deleted": 36, "net": -21,
+        "files": {"src/qut/bench.py": {"added": 10, "deleted": 13},
+                  "src/qut/circuit.py": {"added": 5, "deleted": 16},
+                  "src/qut/logo.png": {"added": 0, "deleted": 0},
+                  "src/qut/old name.py": {"added": 0, "deleted": 7}}}
+    assert ledger.line_delta("") == {"added": 0, "deleted": 0, "net": 0, "files": {}}

@@ -15,7 +15,7 @@ from qut.shots import (
 )
 from qut.simulator import run_statevector
 
-from oracles import density_from_pure, random_statevector
+from oracles import density_from_pure, qcb_minimum, random_statevector
 
 RHO_ZERO_1Q = density_from_pure(StateVector.zero(1))
 
@@ -48,6 +48,31 @@ class TestQcbExponent:
                 xi = qcb_exponent(rho_zero, density_from_pure(psi))
                 if sigma11 > 1e-12:
                     assert abs(xi + math.log(sigma11)) < 1e-9
+
+    def test_mixed_states_match_the_eigenbasis_oracle(self):
+        # full-rank pairs have Tr = 1 at both ends and an interior minimum,
+        # so the golden-section refinement decides the value: the best of
+        # the 101 grid points alone is off by up to about 1e-4
+        rng = np.random.default_rng(30)
+        pairs = []
+        for trial in range(30):
+            dim = 2 ** (1 + trial % 3)
+            pairs.append(tuple(DensityMatrix(np.diag(rng.dirichlet(np.ones(dim))))
+                               for _ in range(2)))
+        for dim in (2, 4, 8):
+            for _ in range(2):
+                pair = []
+                for _ in range(2):
+                    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                    m = g @ g.conj().T
+                    pair.append(DensityMatrix(m / np.trace(m).real))
+                pairs.append(tuple(pair))
+        for rho, sigma in pairs:
+            minimum, argmin = qcb_trace_minimum(rho, sigma)
+            want, want_argmin = qcb_minimum(rho, sigma)
+            assert 0.0 < argmin < 1.0 and 0.0 < want_argmin < 1.0
+            # the exponents -ln(minimum), to the shot-planning checker's 1e-9
+            assert abs(math.log(minimum) - math.log(want)) < 1e-9
 
     def test_orthogonal_states_infinite(self):
         one = density_from_pure(

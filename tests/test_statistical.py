@@ -435,7 +435,7 @@ class TestStreamContract:
         for (kind, seed), crossing in pinned.items():
             values = sample_from_probs(mutant, 2000, seed)
             assert bench.min_shots_statistical(
-                values, probs, kind, 0.05, 2000, seed=seed, mc_reps=200
+                values, probs, kind, 0.05, seed=seed, mc_reps=200
             ) == crossing, (kind, seed)
 
 

@@ -13,8 +13,8 @@ ledger keeps each run's result line, the last line the benchmark prints
 (`{correct, attempted, failed, metrics}`), the machine, and per workload and
 side the median and quartiles of every end-to-end metric, with the number of
 pairs in which the change reads better and the answers of the acceptance rule:
-`gain_met` and `within_bound` per metric.  It also states the net line delta
-of `src/` between the two commits (`src_line_delta`).
+`gain_met` and `within_bound` per metric.  It also states the line delta of
+`src/` between the two commits, in total and per file (`src_line_delta`).
 
 Beside each result line, `inprocess_round_s` is the nominal time of one
 round run in-process: in the run's own copy, round 0 is built at the run's
@@ -88,15 +88,18 @@ def run_side(archive: bytes, root: Path, command: list[str], workload: str, seed
 
 
 def line_delta(numstat: str) -> dict:
-    """Lines added, deleted and net over the output of `git diff --numstat`;
-    a binary file, which numstat counts as "-", adds none."""
-    added = deleted = 0
+    """Lines added, deleted and net over the output of `git diff --numstat`,
+    and under "files" each file's lines added and deleted; a binary file,
+    which numstat counts as "-", adds none."""
+    files = {}
     for line in numstat.splitlines():
         if line:
-            plus, minus, _ = line.split("\t", 2)
-            added += int(plus) if plus != "-" else 0
-            deleted += int(minus) if minus != "-" else 0
-    return {"added": added, "deleted": deleted, "net": added - deleted}
+            plus, minus, path = line.split("\t", 2)
+            files[path] = {"added": int(plus) if plus != "-" else 0,
+                           "deleted": int(minus) if minus != "-" else 0}
+    added = sum(f["added"] for f in files.values())
+    deleted = sum(f["deleted"] for f in files.values())
+    return {"added": added, "deleted": deleted, "net": added - deleted, "files": files}
 
 
 def _spread(values: list[float]) -> dict:
