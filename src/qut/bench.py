@@ -294,9 +294,8 @@ def _run_pair(pair: CorpusPair, config: ExperimentConfig) -> list[ExperimentRow]
             measured.append((test, seed, found, elapsed))
         ranks = dense_rank([found for _, _, found, _ in measured])
         for (test, seed, found, elapsed), rank in zip(measured, ranks):
-            # a first detecting shot is at least 1
             rows.append(row(test, rep, seed, "not_detected" if found is None else "fail",
-                            found or cap, rank, elapsed))
+                            cap if found is None else found, rank, elapsed))
     return rows
 
 
