@@ -52,7 +52,7 @@ class TestQcbExponent:
     def test_mixed_states_match_the_eigenbasis_oracle(self):
         # full-rank pairs have Tr = 1 at both ends and an interior minimum,
         # so the golden-section refinement decides the value: the best of
-        # the 101 grid points alone is off by up to about 1e-4
+        # the 101 grid points alone is off by up to about 5e-5
         rng = np.random.default_rng(30)
         pairs = []
         for trial in range(30):
