@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "circuit": ("Circuit", "GateApplication", "compose", "invert_circuit", "random_circuit"),
+    "circuit": ("Circuit", "GateApplication", "compose", "random_circuit"),
     "core": ("StateVector", "DensityMatrix", "fidelity"),
     "mutation": ("MutantRecord", "mutate_qgd", "mutate_qgi", "mutate_qgr", "mutate_rgi"),
     "qasm": ("parse_qasm", "emit_qasm"),

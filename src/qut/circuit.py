@@ -1,5 +1,5 @@
-"""Circuit representation, inversion, composition, harness assembly, and
-seeded random-circuit generation."""
+"""Circuit representation, the gate kernel, composition, and seeded
+random-circuit generation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from typing import Iterable
 import numpy as np
 
 from . import gates
-from .core import StateVector
 
 
 @dataclass(frozen=True, init=False)
@@ -64,21 +63,6 @@ class GateApplication:
             return self.matrix
         return gates.CATALOG[self.kind].matrix_fn(*self.params)
 
-    def inverse(self) -> "GateApplication":
-        if self.kind == gates.CUSTOM:
-            return GateApplication(
-                gates.CUSTOM, self.targets, (), self.matrix.conj().T
-            )
-        spec = gates.CATALOG[self.kind]
-        params = tuple(s * p for s, p in zip(spec.param_signs, self.params))
-        return GateApplication(spec.inverse_name, self.targets, params)
-
-    def structural_key(self):
-        mat = None
-        if self.matrix is not None:
-            mat = tuple(map(tuple, self.matrix.round(15).tolist()))
-        return (self.kind, self.targets, self.params, mat)
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -104,12 +88,6 @@ class Circuit:
 
     def appended(self, *new_gates: GateApplication) -> "Circuit":
         return Circuit(self.num_qubits, self.gates + tuple(new_gates), self.name)
-
-    def structural_key(self):
-        return (self.num_qubits, tuple(g.structural_key() for g in self.gates))
-
-    def structurally_equal(self, other: "Circuit") -> bool:
-        return self.structural_key() == other.structural_key()
 
 
 def evolve(amplitudes: np.ndarray, gs: Iterable[GateApplication]) -> np.ndarray:
@@ -222,44 +200,6 @@ def compose(*circuits: Circuit, name: str = "") -> Circuit:
     for c in circuits:
         gs += c.gates
     return Circuit(n, gs, name)
-
-
-def invert_circuit(c: Circuit) -> Circuit:
-    """Adjoint circuit: gate order reversed, each gate inverted."""
-    return Circuit(
-        c.num_qubits,
-        tuple(g.inverse() for g in reversed(c.gates)),
-        f"{c.name}_dg" if c.name else "",
-    )
-
-
-def build_swap_harness(prep_a: Circuit, prep_e: Circuit) -> Circuit:
-    """Swap-test circuit: ancilla on qubit 0, the two preparations on qubits
-    1..n and n+1..2n, and an H / n-cswap / H sandwich reading the ancilla."""
-    if prep_a.num_qubits != prep_e.num_qubits:
-        raise ValueError("swap harness requires equal qubit counts")
-    n = prep_a.num_qubits
-    body = [GateApplication(g.kind, [q + offset for q in g.targets], g.params, g.matrix)
-            for offset, prep in ((1, prep_a), (1 + n, prep_e)) for g in prep.gates]
-    body.append(GateApplication("h", (0,)))
-    body += [GateApplication("cswap", (0, i, n + i)) for i in range(1, n + 1)]
-    body.append(GateApplication("h", (0,)))
-    return Circuit(2 * n + 1, tuple(body), "swap_harness")
-
-
-def build_inverse_harness(w: Circuit, u: Circuit, expected) -> Circuit:
-    """Inverse-test circuit W.U.Z where Z undoes the expected preparation.
-
-    `expected` is a Circuit preparing the expected state or a StateVector
-    (synthesized to a preparation circuit first).
-    """
-    from .synth import synthesize_state_prep
-
-    if expected.num_qubits != u.num_qubits or w.num_qubits != u.num_qubits:
-        raise ValueError("inverse harness requires equal qubit counts")
-    if isinstance(expected, StateVector):
-        expected = synthesize_state_prep(expected)
-    return compose(w, u, invert_circuit(expected), name="inverse_harness")
 
 
 # Random-generator kinds by arity: every catalog kind but `id`, in catalog order.

@@ -1,4 +1,4 @@
-"""Gate catalog: matrices, arities, inverses, and syntactic-equivalence classes.
+"""Gate catalog: matrices, arities, and syntactic-equivalence classes.
 
 Matrix convention: for a k-qubit gate applied to targets (t_0, ..., t_{k-1}),
 bit j (with j = 0 the least significant bit) of the matrix row/column index
@@ -76,10 +76,6 @@ class GateSpec:
     arity: int
     num_params: int
     matrix_fn: Callable[..., np.ndarray]
-    # inverse: (kind name, parameter sign vector); self-inverse gates map to
-    # themselves with empty signs, rotations negate their angle(s).
-    inverse_name: str
-    param_signs: tuple[int, ...] = ()
 
 
 def _fixed(m: np.ndarray) -> Callable[..., np.ndarray]:
@@ -91,10 +87,8 @@ def _fixed(m: np.ndarray) -> Callable[..., np.ndarray]:
 CATALOG: dict[str, GateSpec] = {}
 
 
-def _add(name, arity, num_params, matrix_fn, inverse_name=None, param_signs=()):
-    CATALOG[name] = GateSpec(
-        name, arity, num_params, matrix_fn, inverse_name or name, param_signs
-    )
+def _add(name, arity, num_params, matrix_fn):
+    CATALOG[name] = GateSpec(name, arity, num_params, matrix_fn)
 
 
 _add("id", 1, 0, _fixed(np.eye(2, dtype=complex)))
@@ -102,23 +96,23 @@ _add("x", 1, 0, _fixed(_X))
 _add("y", 1, 0, _fixed(_Y))
 _add("z", 1, 0, _fixed(_Z))
 _add("h", 1, 0, _fixed(_H))
-_add("s", 1, 0, _fixed(_S), "sdg")
-_add("sdg", 1, 0, _fixed(_S.conj().T), "s")
-_add("t", 1, 0, _fixed(_T), "tdg")
-_add("tdg", 1, 0, _fixed(_T.conj().T), "t")
-_add("rx", 1, 1, _rx, param_signs=(-1,))
-_add("ry", 1, 1, _ry, param_signs=(-1,))
-_add("rz", 1, 1, _rz, param_signs=(-1,))
-_add("p", 1, 1, _p, param_signs=(-1,))
-_add("r", 1, 2, _r, param_signs=(-1, 1))
+_add("s", 1, 0, _fixed(_S))
+_add("sdg", 1, 0, _fixed(_S.conj().T))
+_add("t", 1, 0, _fixed(_T))
+_add("tdg", 1, 0, _fixed(_T.conj().T))
+_add("rx", 1, 1, _rx)
+_add("ry", 1, 1, _ry)
+_add("rz", 1, 1, _rz)
+_add("p", 1, 1, _p)
+_add("r", 1, 2, _r)
 _add("cx", 2, 0, _fixed(controlled(_X)))
 _add("cy", 2, 0, _fixed(controlled(_Y)))
 _add("cz", 2, 0, _fixed(controlled(_Z)))
 _add("swap", 2, 0, _fixed(_SWAP))
-_add("crx", 2, 1, lambda t: controlled(_rx(t)), param_signs=(-1,))
-_add("cry", 2, 1, lambda t: controlled(_ry(t)), param_signs=(-1,))
-_add("crz", 2, 1, lambda t: controlled(_rz(t)), param_signs=(-1,))
-_add("cp", 2, 1, lambda t: controlled(_p(t)), param_signs=(-1,))
+_add("crx", 2, 1, lambda t: controlled(_rx(t)))
+_add("cry", 2, 1, lambda t: controlled(_ry(t)))
+_add("crz", 2, 1, lambda t: controlled(_rz(t)))
+_add("cp", 2, 1, lambda t: controlled(_p(t)))
 _add("ccx", 3, 0, _fixed(controlled(_X, 2)))
 _add("cswap", 3, 0, _fixed(controlled(_SWAP, 1)))
 

@@ -10,9 +10,9 @@ min-shot scan decides every prefix with the same p-value.  Their support,
 the outcomes that can occur, is `simulator`'s floor, and every Monte Carlo
 seed sequence ends in `MC_SEED_TAG`.  The swap and inverse tests sample
 their per-shot outcome law, a function of the fidelity F = |<psi_E|psi_A>|^2
-alone (`first_failing_shot(failure_probability(test, F), ...)`); the
-harness circuits that realize those laws on hardware are built by
-`circuit.build_swap_harness` and `circuit.build_inverse_harness`.
+alone (`first_failing_shot(failure_probability(test, F), ...)`), and build
+no circuit; the harness circuits those laws stand for are kept with the
+tests as their oracle (`tests/oracles.py`).
 `ALL_TESTS` names every test; the bench and the CLI read it.
 
 `statevector_verdict(actual, expected).passed` at its defaults is the one
@@ -162,6 +162,8 @@ def statistical_p_value(
     drawn and scored about `_ENUM_CHUNK` counts at a time, so memory stays
     bounded whatever `mc_reps` is; a Monte Carlo kind needs `mc_reps` >= 1.
     """
+    if kind not in STAT_KINDS + MC_KINDS:
+        raise ValueError(f"unknown statistical kind '{kind}'")
     if kind in MC_KINDS and mc_reps < 1:
         raise ValueError("mc_reps must be >= 1")
     from scipy.special import chdtrc
@@ -177,8 +179,6 @@ def statistical_p_value(
     expected_counts = shots * p
     if kind == "multinomial":
         return exact_multinomial_p_value(obs.astype(np.int64), p)
-    if kind not in ASYMPTOTIC_KINDS + MC_KINDS:
-        raise ValueError(f"unknown statistical kind '{kind}'")
 
     def score(rows: np.ndarray) -> np.ndarray:  # lower = more extreme
         if kind == "mc_multinomial":

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from qut import bench, mutation
-from qut.circuit import (
-    Circuit,
-    GateApplication,
-    build_swap_harness,
-    build_inverse_harness,
-    random_circuit,
-)
+from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.cli import main as cli_main
 from qut.core import StateVector, fidelity
 from qut.jsonio import emit_json, parse_json
@@ -34,7 +28,14 @@ from qut.testing import (
 )
 
 from conftest import record_acceptance
-from oracles import density_from_pure, marginal_sample, random_statevector
+from oracles import (
+    density_from_pure,
+    inverse_harness,
+    marginal_sample,
+    random_statevector,
+    same_structure,
+    swap_harness,
+)
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 EMPTY_1Q = Circuit(1)
@@ -261,7 +262,7 @@ class TestCriterion6EmpiricalLaws:
             f = fidelity(run_statevector(u), expected)
             prep = synthesize_state_prep(expected)
 
-            harness = build_inverse_harness(Circuit(n), u, expected)
+            harness = inverse_harness(Circuit(n), u, prep)
             probs = run_statevector(harness).probabilities()
             vals = sample_from_probs(probs, self.SHOTS, seed=i)
             p_fail = 1.0 - f
@@ -269,7 +270,7 @@ class TestCriterion6EmpiricalLaws:
             if abs((vals != 0).mean() - p_fail) <= 5 * sig + 1e-4:
                 inverse_ok += 1
 
-            sw = build_swap_harness(u, prep)
+            sw = swap_harness(u, prep)
             ones = marginal_sample(sw, 0, self.SHOTS, seed=i).mean()
             p_one = 0.5 - 0.5 * f
             sig = math.sqrt(max(p_one * (1 - p_one) / self.SHOTS, 1e-30))
@@ -311,10 +312,10 @@ class TestCriterion8Infrastructure:
             c = random_circuit(1 + seed % 5, 1 + seed % 8, seed=seed)
             q = parse_qasm(emit_qasm(c))
             j = parse_json(emit_json(c))
-            if q.structurally_equal(c) and all(
+            if same_structure(q, c) and all(
                     a.params == b.params for a, b in zip(c.gates, q.gates)):
                 qasm_ok += 1
-            if j.structurally_equal(c) and all(
+            if same_structure(j, c) and all(
                     a.params == b.params for a, b in zip(c.gates, j.gates)):
                 json_ok += 1
 

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from qut import gates
 from qut.circuit import GateApplication
 
+from oracles import inverse_gate
+
 
 def test_catalog_matrices_unitary():
     for name, spec in gates.CATALOG.items():
@@ -16,25 +18,17 @@ def test_catalog_matrices_unitary():
         assert m.shape == (2 ** spec.arity, 2 ** spec.arity)
 
 
-def test_every_gate_has_catalog_inverse():
-    for name, spec in gates.CATALOG.items():
-        assert spec.inverse_name in gates.CATALOG, name
-        params = tuple(0.5 for _ in range(spec.num_params))
-        inv_spec = gates.CATALOG[spec.inverse_name]
-        inv_params = tuple(s * p for s, p in zip(inv_spec.param_signs, params))
-        prod = inv_spec.matrix_fn(*inv_params) @ spec.matrix_fn(*params)
-        np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-10)
-
-
-def test_r_gate_inverse_negates_theta_only():
-    spec = gates.CATALOG["r"]
-    assert spec.inverse_name == "r"
-    assert spec.param_signs == (-1.0, 1.0)
-
-
-def test_s_inverse_is_sdg():
-    assert gates.CATALOG["s"].inverse_name == "sdg"
-    assert gates.CATALOG["t"].inverse_name == "tdg"
+def test_inverse_gate_undoes_every_kind():
+    # the oracle's inversion rule, checked against the matrices: every catalog
+    # kind at generic parameters and a random custom two-qubit unitary
+    rng = np.random.default_rng(19)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    applications = [GateApplication(gates.CUSTOM, (1, 0), matrix=q)] + [
+        GateApplication(name, range(spec.arity), [0.7 + 0.4 * i for i in range(spec.num_params)])
+        for name, spec in gates.CATALOG.items()]
+    for g in applications:
+        prod = inverse_gate(g).unitary() @ g.unitary()
+        np.testing.assert_allclose(prod, np.eye(len(prod)), rtol=0, atol=1e-10, err_msg=g.kind)
 
 
 def test_hadamard_entries():

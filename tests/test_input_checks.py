@@ -33,6 +33,12 @@ HALF = DensityMatrix(np.eye(2) / 2)
      ValueError, "need num_qubits >= 1 and depth >= 1"),
     (lambda: statistical_p_value(np.array([3, 4]), np.array([0.5, 0.5]), "t_test"),
      ValueError, "unknown statistical kind 't_test'"),
+    # the kind is checked before the support rules decide: a count outside
+    # the support, and a one-outcome support
+    (lambda: statistical_p_value(np.array([0, 3]), np.array([1.0, 0.0]), "t_test"),
+     ValueError, "unknown statistical kind 't_test'"),
+    (lambda: statistical_p_value(np.array([3, 0]), np.array([1.0, 0.0]), "t_test"),
+     ValueError, "unknown statistical kind 't_test'"),
     (lambda: failure_probability("chi2", 0.5),
      ValueError, "no per-shot law for test 'chi2'"),
     (lambda: circuit_from_dict([]),

@@ -2,6 +2,7 @@
 
 import io
 import json
+import subprocess
 import sys
 import tarfile
 from pathlib import Path
@@ -212,3 +213,25 @@ def test_line_delta_sums_numstat_lines():
                   "src/qut/logo.png": {"added": 0, "deleted": 0},
                   "src/qut/old name.py": {"added": 0, "deleted": 7}}}
     assert ledger.line_delta("") == {"added": 0, "deleted": 0, "net": 0, "files": {}}
+
+
+def test_line_deltas_count_src_and_tests_apart(tmp_path, monkeypatch):
+    def commit(files: dict) -> str:
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-qm", "c"], check=True)
+        return subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    parent = commit({"src/a.py": "1\n2\n3\n4\n", "tests/oracle.py": "1\n", "README": "1\n"})
+    change = commit({"src/a.py": "1\n", "tests/oracle.py": "1\n2\n3\n", "README": "2\n"})
+    monkeypatch.chdir(tmp_path)
+    assert ledger.line_deltas(parent, change) == {
+        "src_line_delta": {"added": 0, "deleted": 3, "net": -3,
+                           "files": {"src/a.py": {"added": 0, "deleted": 3}}},
+        "tests_line_delta": {"added": 2, "deleted": 0, "net": 2,
+                             "files": {"tests/oracle.py": {"added": 2, "deleted": 0}}}}

@@ -3,15 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from qut.circuit import Circuit, GateApplication, random_circuit
 from qut.core import StateVector, fidelity
 from qut.simulator import run_statevector
 from qut.synth import synthesize_state_prep
-from qut.testing import inverse_test, statevector_test, statevector_verdict, swap_test
+from qut.testing import (
+    failure_probability,
+    inverse_test,
+    statevector_test,
+    statevector_verdict,
+    swap_test,
+)
 
-from oracles import random_statevector
+from oracles import inverse_harness, random_statevector, swap_harness
 
 H_CIRCUIT = Circuit(1, (GateApplication("h", (0,)),))
 X_CIRCUIT = Circuit(1, (GateApplication("x", (0,)),))
@@ -148,9 +155,8 @@ class TestInverseTest:
             n = int(rng.integers(1, 4))
             u = random_circuit(n, 3, seed=trial)
             expected = random_statevector(n, rng)
-            from qut.circuit import build_inverse_harness
             from qut.simulator import sample_from_probs
-            harness = build_inverse_harness(Circuit(n), u, expected)
+            harness = inverse_harness(Circuit(n), u, synthesize_state_prep(expected))
             probs = run_statevector(harness).probabilities()
             vals = sample_from_probs(probs, shots, seed=trial)
             f = fidelity(run_statevector(u), expected)
@@ -172,3 +178,21 @@ class TestInverseTest:
             )
             rates.append(fails)
         assert rates[0] <= rates[1] <= rates[2]
+
+
+class TestHarnessOracle:
+    """The per-shot laws the swap and inverse verdicts draw from are exactly
+    the outcome laws of the circuits they stand for, the oracle's harnesses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_harness_outcome_laws_are_failure_probability(self, n, depth, equal, seed):
+        u = random_circuit(n, depth, seed)
+        actual = run_statevector(u)
+        expected = actual if equal else random_statevector(n, np.random.default_rng(seed))
+        prep = synthesize_state_prep(expected)
+        f = fidelity(actual, expected)
+        swap_probs = run_statevector(swap_harness(u, prep)).probabilities()
+        assert abs(swap_probs[1::2].sum() - failure_probability("swap", f)) <= 1e-12
+        inverse_probs = run_statevector(inverse_harness(Circuit(n), u, prep)).probabilities()
+        assert abs(1.0 - inverse_probs[0] - failure_probability("inverse", f)) <= 1e-12

@@ -13,8 +13,10 @@ ledger keeps each run's result line, the last line the benchmark prints
 (`{correct, attempted, failed, metrics}`), the machine, and per workload and
 side the median and quartiles of every end-to-end metric, with the number of
 pairs in which the change reads better and the answers of the acceptance rule:
-`gain_met` and `within_bound` per metric.  It also states the line delta of
-`src/` between the two commits, in total and per file (`src_line_delta`).
+`gain_met` and `within_bound` per metric.  It also states the line deltas of
+`src/` and of `tests/` between the two commits, in total and per file
+(`src_line_delta` and `tests_line_delta`): code moved from `src/` into the
+tests shows in both.
 
 Beside each result line, `inprocess_round_s` is the nominal time of one
 round run in-process: in the run's own copy, round 0 is built at the run's
@@ -100,6 +102,14 @@ def line_delta(numstat: str) -> dict:
     added = sum(f["added"] for f in files.values())
     deleted = sum(f["deleted"] for f in files.values())
     return {"added": added, "deleted": deleted, "net": added - deleted, "files": files}
+
+
+def line_deltas(parent: str, change: str) -> dict:
+    """`src_line_delta` and `tests_line_delta`: the `line_delta` of each
+    directory between the two commits."""
+    return {f"{d}_line_delta": line_delta(
+                git("diff", "--numstat", parent, change, "--", d).decode())
+            for d in ("src", "tests")}
 
 
 def _spread(values: list[float]) -> dict:
@@ -190,8 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
                           f"ops_per_s {ops.get('value')}, "
                           f"inprocess_round_s {run['inprocess_round_s']}", file=sys.stderr)
-    numstat = git("diff", "--numstat", commits["parent"], commits["change"], "--", "src")
-    ledger = {"commits": commits, "src_line_delta": line_delta(numstat.decode()),
+    ledger = {"commits": commits, **line_deltas(commits["parent"], commits["change"]),
               "run_seconds": bench["run_seconds"], "machine": machine,
               "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
     Path(args.out).write_text(json.dumps(ledger, indent=2) + "\n")
