@@ -1,6 +1,6 @@
-"""Helpers that only the tests call, none checking its inputs: random states,
-pure-state density matrices, marginal sampling, a Chernoff-bound minimum,
-circuit inversion, the swap and inverse harnesses and structural equality,
+"""Helpers that only the tests call: random states, pure-state density
+matrices, marginal sampling, a Chernoff-bound minimum, and circuit inversion,
+the swap and inverse harnesses and structural equality, which check no input:
 the oracles that the acceptance criteria and unit tests check qut against.
 
 Each draws only from the generator or seed it is given, so the criteria
