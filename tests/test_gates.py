@@ -18,17 +18,31 @@ def test_catalog_matrices_unitary():
         assert m.shape == (2 ** spec.arity, 2 ** spec.arity)
 
 
-def test_inverse_gate_undoes_every_kind():
+def test_every_gate_has_catalog_inverse():
     # the oracle's inversion rule, checked against the matrices: every catalog
-    # kind at generic parameters and a random custom two-qubit unitary
+    # kind at generic parameters inverts to a catalog kind, and a random custom
+    # two-qubit unitary to its adjoint
     rng = np.random.default_rng(19)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     applications = [GateApplication(gates.CUSTOM, (1, 0), matrix=q)] + [
         GateApplication(name, range(spec.arity), [0.7 + 0.4 * i for i in range(spec.num_params)])
         for name, spec in gates.CATALOG.items()]
     for g in applications:
-        prod = inverse_gate(g).unitary() @ g.unitary()
+        inv = inverse_gate(g)
+        assert inv.kind == g.kind or inv.kind in gates.CATALOG, g.kind
+        prod = inv.unitary() @ g.unitary()
         np.testing.assert_allclose(prod, np.eye(len(prod)), rtol=0, atol=1e-10, err_msg=g.kind)
+
+
+def test_r_gate_inverse_negates_theta_only():
+    inv = inverse_gate(GateApplication("r", (0,), [0.5, 1.25]))
+    assert inv.kind == "r"
+    assert inv.params == (-0.5, 1.25)
+
+
+def test_s_inverse_is_sdg():
+    assert inverse_gate(GateApplication("s", (0,))).kind == "sdg"
+    assert inverse_gate(GateApplication("t", (0,))).kind == "tdg"
 
 
 def test_hadamard_entries():
